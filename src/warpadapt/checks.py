@@ -173,7 +173,7 @@ def loss_cases(seed: int = 0) -> Iterator[tuple[str, Callable, Tensor, float]]:
     targets use constant bases that interpolation preserves exactly.
     """
     from . import losses as L
-    from .networks import build_extractor
+    from .networks import Extractor
     from .warping import WarpField, multiscale_warp_loss, stagewise_warp_loss, warp
     from .autograd import no_grad
 
@@ -193,7 +193,7 @@ def loss_cases(seed: int = 0) -> Iterator[tuple[str, Callable, Tensor, float]]:
 
     # the extractor's leaky-relu corners make the loss piecewise smooth; pick
     # an input whose pre-activations all clear the corners by a safe margin
-    extractor = build_extractor(seed=11)
+    extractor = Extractor(seed=11)
     pb = _rand(rng, (1, 3, 6, 6), lo=0.0, hi=1.0)
     pa = None
     for sub in range(256):
@@ -239,7 +239,7 @@ def loss_cases(seed: int = 0) -> Iterator[tuple[str, Callable, Tensor, float]]:
     yield ("warp_loss/disp_taps",
            lambda t: multiscale_warp_loss([t], [tap_dst], dfield, sign=1),
            tap_full, KINKED_TOL)
-    yield ("warp_loss/disp_field",
+    yield ("warp_loss/disp_values",
            lambda t: multiscale_warp_loss([tap_full], [tap_dst], WarpField("disparity", t), sign=1),
            dfield.values, KINKED_TOL)
 
@@ -248,7 +248,7 @@ def loss_cases(seed: int = 0) -> Iterator[tuple[str, Callable, Tensor, float]]:
     with no_grad():
         fwarped0 = warp(tap_full, ffield, 1)
     ftap_dst = Tensor(fwarped0.data + _offset(rng, (1, 2, 8, 8), 0.1, 0.6))
-    yield ("warp_loss/flow_field",
+    yield ("warp_loss/flow_values",
            lambda t: multiscale_warp_loss([tap_full], [ftap_dst], WarpField("flow", t), sign=1),
            ffield.values, KINKED_TOL)
 

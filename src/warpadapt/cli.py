@@ -10,44 +10,22 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 
 import numpy as np
 
-from . import losses as L
 from . import metrics as M
 from .autograd import Tensor, no_grad
 from .errors import ConfigError, FormatError, MetricError, UsageError
 from .scenegen import (SceneSample, apply_domain_shift, generate_scene,
                        read_dataset, sample_from_bytes, sample_to_bytes,
                        shift_preset, split_domains, write_dataset)
-from .trainer import TrainConfig, load_checkpoint, run_training
+from .trainer import (CONFIG_KEYS, TrainConfig, config_from_flat, load_checkpoint,
+                      run_training)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
-
-_INT_KEYS = {"k", "total_iters", "batch_size", "seed", "eval_every", "channels_base",
-             "max_disp", "max_flow", "val_count"}
-_FLOAT_KEYS = {"lr_translation", "lr_disp", "lr_flow", "adam_beta1", "adam_beta2",
-               "flow_weight_decay", "gamma_stages"}
-_STR_KEYS = {"objective", "d1_mode"}
-_WEIGHT_KEYS = {f"weights.{f.name}" for f in fields(L.LossWeights)}
-ALL_CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _WEIGHT_KEYS
-
-
-def worker_threads() -> int:
-    """Worker-thread cap from WARPADAPT_THREADS (all work is currently
-    single-threaded; the variable is validated and acts as an upper bound)."""
-    raw = os.environ.get("WARPADAPT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"WARPADAPT_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise ConfigError(f"WARPADAPT_THREADS must be >= 1, got {n}")
-    return n
 
 
 def parse_config_text(text: str, source: str) -> dict:
@@ -60,29 +38,24 @@ def parse_config_text(text: str, source: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in ALL_CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
         out[key] = val
     return out
 
 
 def build_train_config(kv: dict) -> TrainConfig:
-    args = {}
-    weights = {}
-    for key, val in kv.items():
-        if key in _INT_KEYS:
-            args[key] = int(val)
-        elif key in _FLOAT_KEYS:
-            args[key] = float(val)
-        elif key in _STR_KEYS:
-            args[key] = val
-        elif key in _WEIGHT_KEYS:
-            weights[key.split(".", 1)[1]] = float(val)
-        else:
+    """Parse each text value with its field's type."""
+    values = {}
+    for key, text in kv.items():
+        kind = CONFIG_KEYS.get(key)
+        if kind is None:
             raise ConfigError(f"unknown config key {key!r}")
-    if weights:
-        args["weights"] = L.LossWeights(**weights)
-    return TrainConfig(**args)
+        try:
+            values[key] = kind(text)
+        except ValueError:
+            raise ConfigError(f"{key} must be {kind.__name__}, got {text!r}") from None
+    return config_from_flat(values)
 
 
 def _apply_overrides(kv: dict, extra: list) -> dict:
@@ -92,7 +65,7 @@ def _apply_overrides(kv: dict, extra: list) -> dict:
         if not flag.startswith("--"):
             raise ConfigError(f"expected --key, got {flag!r}")
         key = flag[2:]
-        if key not in ALL_CONFIG_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         kv[key] = val
     return kv
@@ -267,7 +240,7 @@ def make_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="score a checkpoint on the validation split")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--data", required=True)
-    e.add_argument("--d1-mode", choices=("or", "and"), default="or")
+    e.add_argument("--d1-mode", choices=M.D1_MODES, default="or")
     e.add_argument("--oracle", action="store_true")
 
     tr = sub.add_parser("translate", help="translate one sample and write images")
@@ -286,14 +259,10 @@ def main(argv=None) -> int:
     parser = make_parser()
     extra: list = []
     try:
-        worker_threads()
         if argv and argv[0] == "train":
             args, extra = parser.parse_known_args(argv)
         else:
             args = parser.parse_args(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:

@@ -2,17 +2,14 @@
 
 Each kernel pairs a forward rule with a matched backward rule; composites
 (SSIM, cosine map) are assembled from primitives and differentiate through
-the graph. ``apply`` dispatches by catalog name so one harness can sweep the
-whole set.
+the graph.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 import numpy as np
 
-from .autograd import Tensor, concat, div, mul, result
+from .autograd import Tensor, concat, div, mul, result  # noqa: F401  (concat is re-exported)
 from .errors import ShapeError, UsageError
 
 
@@ -452,44 +449,3 @@ def cosine_map(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:
     nb = sqrt(mul(b, b).sum(axis=1) + eps)
     return div(num, mul(na, nb))
 
-
-# -- catalog dispatch ----------------------------------------------------------
-
-KERNELS = {
-    "add": lambda inputs, **p: inputs[0] + inputs[1],
-    "sub": lambda inputs, **p: inputs[0] - inputs[1],
-    "mul": lambda inputs, **p: mul(inputs[0], inputs[1]),
-    "div": lambda inputs, **p: div(inputs[0], inputs[1]),
-    "scalar_mul": lambda inputs, **p: inputs[0] * p["value"],
-    "scalar_add": lambda inputs, **p: inputs[0] + p["value"],
-    "abs": lambda inputs, **p: absolute(inputs[0]),
-    "square": lambda inputs, **p: square(inputs[0]),
-    "sqrt": lambda inputs, **p: sqrt(inputs[0]),
-    "log": lambda inputs, **p: log(inputs[0]),
-    "clamp": lambda inputs, **p: clamp(inputs[0], p["lo"], p["hi"]),
-    "leaky_relu": lambda inputs, **p: leaky_relu(inputs[0], p.get("slope", 0.1)),
-    "sigmoid": lambda inputs, **p: sigmoid(inputs[0]),
-    "tanh": lambda inputs, **p: tanh(inputs[0]),
-    "softplus": lambda inputs, **p: softplus(inputs[0]),
-    "mean": lambda inputs, **p: inputs[0].mean(p.get("axis")),
-    "sum": lambda inputs, **p: inputs[0].sum(p.get("axis")),
-    "concat": lambda inputs, **p: concat(inputs, p.get("axis", 1)),
-    "conv2d": lambda inputs, **p: conv2d(*inputs, **p),
-    "conv_transpose2d": lambda inputs, **p: conv_transpose2d(*inputs, **p),
-    "gaussian_blur": lambda inputs, **p: gaussian_blur(inputs[0], **p),
-    "upsample2": lambda inputs, **p: upsample2(inputs[0]),
-    "downsample2": lambda inputs, **p: downsample2(inputs[0]),
-    "grid_sample": lambda inputs, **p: grid_sample(inputs[0], inputs[1]),
-    "correlation": lambda inputs, **p: correlation(inputs[0], inputs[1], **p),
-    "smooth_l1": lambda inputs, **p: smooth_l1(inputs[0], inputs[1], p.get("beta", 1.0)),
-    "ssim_map": lambda inputs, **p: ssim_map(inputs[0], inputs[1]),
-    "cosine_map": lambda inputs, **p: cosine_map(inputs[0], inputs[1]),
-}
-
-
-def apply(kernel: str, inputs: Sequence[Tensor], **params) -> Tensor:
-    """Run a catalog kernel by name."""
-    fn = KERNELS.get(kernel)
-    if fn is None:
-        raise UsageError(f"unknown kernel {kernel!r}")
-    return fn(list(inputs), **params)

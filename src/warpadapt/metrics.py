@@ -14,6 +14,8 @@ from . import kernels as K
 from .autograd import Tensor, no_grad
 from .errors import MetricError, UsageError
 
+D1_MODES = ("or", "and")
+
 
 def _per_pixel_error(pred: np.ndarray, gt: np.ndarray):
     """Pixelwise error magnitude and ground-truth magnitude, shape (b, h, w)."""
@@ -53,8 +55,8 @@ def threshold_error_rate(pred: np.ndarray, gt: np.ndarray, abs_thresh: float,
     With a relative threshold, "or" counts pixels beyond either bound (the
     looser, text-level reading) and "and" requires both (benchmark convention).
     """
-    if mode not in ("or", "and"):
-        raise UsageError(f"mode must be 'or' or 'and', got {mode!r}")
+    if mode not in D1_MODES:
+        raise UsageError(f"mode must be one of {D1_MODES}, got {mode!r}")
     err, mag = _per_pixel_error(pred, gt)
     m = _valid_mask(err.shape, valid)
     over_abs = err > abs_thresh

@@ -3,7 +3,7 @@ and flow estimators with their refinement pyramids, and a frozen random-weight
 feature extractor for perceptual distances.
 
 All parameters initialize uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)] from
-the builder's seeded generator, so identical seeds give identical networks.
+the network's seeded generator, so identical seeds give identical networks.
 """
 
 from __future__ import annotations
@@ -16,12 +16,9 @@ from .errors import ConfigError
 
 
 class Network:
-    """Named parameter bag with a role tag; subclasses define forward passes."""
-
-    role = "network"
+    """Named parameter bag; subclasses define forward passes."""
 
     def __init__(self, seed: int, frozen: bool = False):
-        self.seed = seed
         self.frozen = frozen
         self.params: dict[str, Tensor] = {}
         self._rng = np.random.default_rng(np.random.PCG64(seed))
@@ -65,9 +62,6 @@ class Generator(Network):
     (scales 1/2, 1/4, 1/4) for the feature warping losses.
     """
 
-    role = "generator"
-    n_taps = 3
-
     def __init__(self, seed: int, channels_base: int = 8):
         if channels_base < 4:
             raise ConfigError(f"channels_base must be >= 4, got {channels_base}")
@@ -101,8 +95,6 @@ class Generator(Network):
 
 class Discriminator(Network):
     """Four stride-2 convolutions to a one-channel sigmoid patch map."""
-
-    role = "discriminator"
 
     def __init__(self, seed: int, channels_base: int = 8):
         if channels_base < 4:
@@ -173,8 +165,6 @@ class _PyramidNet(Network):
 class StereoNet(_PyramidNet):
     """Correlation-based disparity estimator; stages are non-negative."""
 
-    role = "stereo"
-
     def __init__(self, seed: int, max_disp: int = 16, channels_base: int = 8):
         if max_disp < 4 or max_disp % 4:
             raise ConfigError(f"max_disp must be >= 4 and divisible by 4, got {max_disp}")
@@ -194,8 +184,6 @@ class StereoNet(_PyramidNet):
 
 class FlowNet(_PyramidNet):
     """Two-frame flow estimator with signed horizontal+vertical correlation."""
-
-    role = "flow"
 
     def __init__(self, seed: int, max_flow: int = 8, channels_base: int = 8):
         if max_flow < 4 or max_flow % 4:
@@ -221,8 +209,6 @@ class Extractor(Network):
     """Frozen random-weight conv stack; activations at scales 1/1, 1/2, 1/4
     with channel counts 8, 16, 32."""
 
-    role = "extractor"
-
     def __init__(self, seed: int = 77):
         super().__init__(seed, frozen=True)
         self._conv("c1", 3, 8, 3)
@@ -234,23 +220,3 @@ class Extractor(Network):
         t2 = K.leaky_relu(self.conv("c2", t1, stride=2), 0.1)
         t3 = K.leaky_relu(self.conv("c3", t2, stride=2), 0.1)
         return [t1, t2, t3]
-
-
-def build_generator(seed: int, channels_base: int = 8) -> Generator:
-    return Generator(seed, channels_base)
-
-
-def build_discriminator(seed: int, channels_base: int = 8) -> Discriminator:
-    return Discriminator(seed, channels_base)
-
-
-def build_stereo_net(seed: int, max_disp: int = 16, channels_base: int = 8) -> StereoNet:
-    return StereoNet(seed, max_disp, channels_base)
-
-
-def build_flow_net(seed: int, max_flow: int = 8, channels_base: int = 8) -> FlowNet:
-    return FlowNet(seed, max_flow, channels_base)
-
-
-def build_extractor(seed: int = 77) -> Extractor:
-    return Extractor(seed)

@@ -21,10 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .autograd import Tensor
 from .dataio import DATASET_MAGIC, Reader, pack_tensor
 from .errors import ConfigError, FormatError
-from .warping import WarpField
 
 FIELD_ORDER = ("left", "right", "next_left", "disparity", "flow", "occlusion")
 DOMAIN_TAGS = {"synthetic": 0, "real": 1}
@@ -40,12 +38,6 @@ class SceneSample:
     flow: Optional[np.ndarray]           # (1, 2, h, w) pixels (u, v)
     occlusion: Optional[np.ndarray]      # (1, 1, h, w), 1 = visible at t and t+1
     domain: str = "synthetic"
-
-    def disparity_field(self) -> WarpField:
-        return WarpField("disparity", Tensor(self.disparity))
-
-    def flow_field(self) -> WarpField:
-        return WarpField("flow", Tensor(self.flow))
 
 
 @dataclass

@@ -14,6 +14,7 @@ import os
 import struct
 import warnings
 from dataclasses import dataclass, field, fields
+from functools import reduce
 
 import numpy as np
 
@@ -22,13 +23,17 @@ from . import metrics as M
 from .autograd import Tensor, backward, concat, no_grad, zero_grads
 from .dataio import CHECKPOINT_MAGIC, Reader, pack_tensor
 from .errors import ConfigError, FormatError, UsageError
-from .networks import (build_discriminator, build_extractor, build_flow_net,
-                       build_generator, build_stereo_net)
+from .networks import Discriminator, Extractor, FlowNet, Generator, StereoNet
 from .scenegen import read_dataset, split_domains
 from .warping import WarpField, multiscale_warp_loss
 
 CHECKPOINT_VERSION = 1
 RUNNING_DECAY = np.float32(0.98)
+OBJECTIVES = ("full", "source_only")
+# string fields and their allowed values; checkpoints store the value's index
+CHOICES = {"objective": OBJECTIVES, "d1_mode": M.D1_MODES}
+# fields that fix parameter shapes, so a checkpoint only resumes under equal values
+SHAPE_KEYS = ("channels_base", "max_disp", "max_flow")
 
 
 @dataclass
@@ -50,20 +55,49 @@ class TrainConfig:
     max_flow: int = 8
     val_count: int = 40
     gamma_stages: float = 0.9
-    objective: str = "full"          # "full" or "source_only"
-    d1_mode: str = "or"
+    objective: str = "full"          # one of OBJECTIVES
+    d1_mode: str = "or"              # one of metrics.D1_MODES
 
     def __post_init__(self):
         if self.k < 1:
             raise ConfigError(f"k must be >= 1, got {self.k}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.val_count < 0:
+            raise ConfigError(f"val_count must be >= 0, got {self.val_count}")
         for name in ("lr_translation", "lr_disp", "lr_flow"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.objective not in ("full", "source_only"):
-            raise ConfigError(f"unknown objective {self.objective!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
         if self.total_iters % self.k:
             warnings.warn(f"total_iters={self.total_iters} is not a multiple of "
                           f"k={self.k}; the last alternation window is partial")
+
+
+def _config_keys() -> dict:
+    """Flat config key -> value type, in checkpoint record order: the
+    TrainConfig fields in declaration order, then ``weights.<name>`` per loss
+    weight."""
+    keys = {f.name: type(f.default) for f in fields(TrainConfig) if f.name != "weights"}
+    keys.update({f"weights.{f.name}": type(f.default) for f in fields(L.LossWeights)})
+    return keys
+
+
+CONFIG_KEYS = _config_keys()
+
+
+def config_from_flat(values: dict) -> TrainConfig:
+    """TrainConfig from typed values under CONFIG_KEYS names; absent keys keep
+    their defaults."""
+    args, weights = {}, {}
+    for key, value in values.items():
+        group, _, name = key.rpartition(".")
+        (weights if group else args)[name] = value
+    if weights:
+        args["weights"] = L.LossWeights(**weights)
+    return TrainConfig(**args)
 
 
 # -- optimizer -------------------------------------------------------------------
@@ -130,13 +164,13 @@ class TrainState:
 def init_state(config: TrainConfig) -> TrainState:
     s = config.seed
     nets = {
-        "gen_a2b": build_generator(s * 10 + 1, config.channels_base),
-        "gen_b2a": build_generator(s * 10 + 2, config.channels_base),
-        "disc_a": build_discriminator(s * 10 + 3, config.channels_base),
-        "disc_b": build_discriminator(s * 10 + 4, config.channels_base),
-        "stereo": build_stereo_net(s * 10 + 5, config.max_disp, config.channels_base),
-        "flow": build_flow_net(s * 10 + 6, config.max_flow, config.channels_base),
-        "extractor": build_extractor(s * 10 + 7),
+        "gen_a2b": Generator(s * 10 + 1, config.channels_base),
+        "gen_b2a": Generator(s * 10 + 2, config.channels_base),
+        "disc_a": Discriminator(s * 10 + 3, config.channels_base),
+        "disc_b": Discriminator(s * 10 + 4, config.channels_base),
+        "stereo": StereoNet(s * 10 + 5, config.max_disp, config.channels_base),
+        "flow": FlowNet(s * 10 + 6, config.max_flow, config.channels_base),
+        "extractor": Extractor(s * 10 + 7),
     }
     betas = (config.adam_beta1, config.adam_beta2)
     gen_params = _merge_params({"gen_a2b": nets["gen_a2b"], "gen_b2a": nets["gen_b2a"]})
@@ -367,12 +401,8 @@ def train_step(state: TrainState, syn: dict, real: dict | None) -> dict:
 
 # -- checkpoints ----------------------------------------------------------------------
 
-_CFG_SCALARS = ("k", "total_iters", "batch_size", "lr_translation", "lr_disp",
-                "lr_flow", "adam_beta1", "adam_beta2", "flow_weight_decay", "seed",
-                "eval_every", "channels_base", "max_disp", "max_flow", "val_count",
-                "gamma_stages")
-_OBJECTIVES = ("full", "source_only")
-_D1_MODES = ("or", "and")
+def _config_record_name(key: str) -> str:
+    return f"cfg.{key}_id" if key in CHOICES else f"cfg.{key}"
 
 
 def _state_records(state: TrainState) -> dict:
@@ -388,13 +418,11 @@ def _state_records(state: TrainState) -> dict:
         rec[f"opt.{opt_name}.t"] = _scalar(opt.moments["t"])
     for key, val in state.running.items():
         rec[f"avg.{key}"] = _scalar(val)
-    cfg = state.config
-    for name in _CFG_SCALARS:
-        rec[f"cfg.{name}"] = _scalar(getattr(cfg, name))
-    rec["cfg.objective_id"] = _scalar(_OBJECTIVES.index(cfg.objective))
-    rec["cfg.d1_mode_id"] = _scalar(_D1_MODES.index(cfg.d1_mode))
-    for f in fields(L.LossWeights):
-        rec[f"cfg.weights.{f.name}"] = _scalar(getattr(cfg.weights, f.name))
+    for key in CONFIG_KEYS:
+        val = reduce(getattr, key.split("."), state.config)
+        if key in CHOICES:
+            val = CHOICES[key].index(val)
+        rec[_config_record_name(key)] = _scalar(val)
     return rec
 
 
@@ -427,7 +455,8 @@ def load_checkpoint(path: str, config: TrainConfig | None = None) -> TrainState:
 
     Passing the run's config restores bit-exact hyperparameters for continued
     training; without it the float32 copy embedded in the checkpoint is used,
-    which is sufficient for evaluation and translation.
+    which is sufficient for evaluation and translation. A config whose
+    SHAPE_KEYS differ from the embedded ones raises ConfigError.
     """
     with open(path, "rb") as fh:
         r = Reader(fh.read(), label=os.path.basename(path))
@@ -445,24 +474,17 @@ def load_checkpoint(path: str, config: TrainConfig | None = None) -> TrainState:
     s_lo, s_hi, i_lo, i_hi = (r.u64() for _ in range(4))
     r.done()
 
-    if config is None:
-        def cfgval(name):
-            return float(records[f"cfg.{name}"].reshape(-1)[0])
+    def cfgval(key):
+        return float(records[_config_record_name(key)].reshape(-1)[0])
 
-        weights = L.LossWeights(**{
-            f.name: cfgval(f"weights.{f.name}") for f in fields(L.LossWeights)})
-        config = TrainConfig(
-            k=int(cfgval("k")), total_iters=int(cfgval("total_iters")),
-            batch_size=int(cfgval("batch_size")),
-            lr_translation=cfgval("lr_translation"), lr_disp=cfgval("lr_disp"),
-            lr_flow=cfgval("lr_flow"), adam_beta1=cfgval("adam_beta1"),
-            adam_beta2=cfgval("adam_beta2"), flow_weight_decay=cfgval("flow_weight_decay"),
-            weights=weights, seed=int(cfgval("seed")), eval_every=int(cfgval("eval_every")),
-            channels_base=int(cfgval("channels_base")), max_disp=int(cfgval("max_disp")),
-            max_flow=int(cfgval("max_flow")), val_count=int(cfgval("val_count")),
-            gamma_stages=cfgval("gamma_stages"),
-            objective=_OBJECTIVES[int(cfgval("objective_id"))],
-            d1_mode=_D1_MODES[int(cfgval("d1_mode_id"))])
+    if config is None:
+        config = config_from_flat({
+            key: CHOICES[key][int(cfgval(key))] if key in CHOICES else kind(cfgval(key))
+            for key, kind in CONFIG_KEYS.items()})
+    for key in SHAPE_KEYS:
+        if getattr(config, key) != int(cfgval(key)):
+            raise ConfigError(f"{key}={getattr(config, key)} does not match the "
+                              f"checkpoint's {key}={int(cfgval(key))}")
 
     state = init_state(config)
     state.iteration = iteration

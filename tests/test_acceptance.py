@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, printing a pass/fail line each.
 
-Criteria 6 and 7 train complete co-training runs on the procedural benchmark
-and dominate the suite's runtime; everything else finishes in seconds. Run
-with ``-s`` to watch the lines stream.
+Criteria 1-5, 8 and 9 are implemented and finish in seconds. Criteria 6
+(adaptation beats source-only training) and 7 (ablation trends) are not
+implemented yet. Run with ``-s`` to watch the lines stream.
 """
 
 import math
@@ -220,8 +220,8 @@ class TestCriterion4:
 
         # perfectly consistent inputs drive every non-adversarial loss to exactly 0
         img = Tensor(rng.uniform(0, 1, (1, 3, 16, 16)))
-        from warpadapt.networks import build_extractor
-        ext = build_extractor(seed=2)
+        from warpadapt.networks import Extractor
+        ext = Extractor(seed=2)
         checks.append(L.cycle_loss(img, img).item() == 0.0)
         checks.append(L.perceptual_loss(img, img, ext).item() == 0.0)
         checks.append(L.cosine_loss(img, img).item() < 1e-6)

@@ -83,6 +83,32 @@ class TestTrain:
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("overrides, config_text", [
+        (["--k", "abc"], None),
+        (["--weights.lambda_ms", "x"], None),
+        (["--batch_size", "0"], None),
+        (["--val_count", "-1"], None),
+        (["--objective", "bogus"], None),
+        ([], "k = abc\n"),
+    ], ids=["k_not_int", "weight_not_float", "batch_size_0", "val_count_negative",
+            "unknown_objective", "config_file_k_not_int"])
+    def test_bad_value_exits_2(self, tmp_path, small_run, capsys, overrides, config_text):
+        # a valid one-step run but for the value under test, so only that value
+        # can cause the exit code
+        argv = ["train", "--data", small_run["data"], "--out", str(tmp_path / "x"),
+                "--total_iters", "1", "--batch_size", "1", "--channels_base", "4",
+                "--max_disp", "8", "--max_flow", "4", "--val_count", "1",
+                "--eval_every", "0"] + overrides
+        if config_text is not None:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(config_text)
+            argv += ["--config", str(cfg)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_missing_data_exits_3(self, tmp_path):
         code = main(["train", "--data", str(tmp_path / "nope"), "--out",
                      str(tmp_path / "x"), "--total_iters", "1"])
@@ -173,13 +199,3 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "checks passed" in out
         assert "FAIL" not in out
-
-
-class TestEnvVar:
-    def test_invalid_thread_cap(self, monkeypatch):
-        monkeypatch.setenv("WARPADAPT_THREADS", "zero")
-        assert main(["gradcheck"]) == 2
-
-    def test_valid_thread_cap(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("WARPADAPT_THREADS", "2")
-        assert main(["generate", "--count", "0", "--out", str(tmp_path / "d")]) == 0

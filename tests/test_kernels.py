@@ -4,7 +4,7 @@ import pytest
 from warpadapt import kernels as K
 from warpadapt.autograd import Tensor, grad_check, make_tensor
 from warpadapt.checks import kernel_cases
-from warpadapt.errors import ShapeError, UsageError
+from warpadapt.errors import ShapeError
 
 
 def rand(shape, seed=0, lo=-2.0, hi=2.0, dtype=np.float64):
@@ -290,18 +290,6 @@ class TestCosine:
         b[0, 1] = 1.0
         out = K.cosine_map(Tensor(a), Tensor(b)).data
         assert np.allclose(out, 0.0, atol=1e-7)
-
-
-class TestApply:
-    def test_dispatch(self):
-        a = make_tensor((1, 1, 1, 1), [0.5])
-        b = make_tensor((1, 1, 1, 1), [0.0])
-        out = K.apply("smooth_l1", [a, b], beta=1.0)
-        assert out.item() == pytest.approx(0.125)
-
-    def test_unknown_kernel(self):
-        with pytest.raises(UsageError):
-            K.apply("not_a_kernel", [])
 
 
 class TestGradients:

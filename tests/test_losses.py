@@ -7,7 +7,7 @@ from warpadapt import kernels as K
 from warpadapt import losses as L
 from warpadapt.autograd import Tensor, backward
 from warpadapt.errors import UsageError
-from warpadapt.networks import build_extractor, build_generator, build_stereo_net
+from warpadapt.networks import Extractor, Generator, StereoNet
 from warpadapt.warping import WarpField
 
 from test_kernels import ssim_bruteforce
@@ -52,12 +52,12 @@ class TestCycle:
 
 class TestPerceptual:
     def test_zero_for_equal(self):
-        ext = build_extractor(seed=3)
+        ext = Extractor(seed=3)
         x = rand((1, 3, 8, 8), seed=2)
         assert L.perceptual_loss(x, x, ext).item() == 0.0
 
     def test_symmetric(self):
-        ext = build_extractor(seed=3)
+        ext = Extractor(seed=3)
         a = rand((1, 3, 8, 8), seed=4)
         b = rand((1, 3, 8, 8), seed=5)
         ab = L.perceptual_loss(a, b, ext).item()
@@ -65,7 +65,7 @@ class TestPerceptual:
         assert ab == pytest.approx(ba, rel=1e-12)
 
     def test_positive_for_different(self):
-        ext = build_extractor(seed=3)
+        ext = Extractor(seed=3)
         a = rand((1, 3, 8, 8), seed=6)
         b = rand((1, 3, 8, 8), seed=7)
         assert L.perceptual_loss(a, b, ext).item() > 0
@@ -166,8 +166,8 @@ class TestSupervised:
         assert loss_half.item() == pytest.approx(0.5, rel=1e-4)
 
     def test_gradient_reaches_generator(self):
-        gen = build_generator(seed=30, channels_base=4)
-        stereo = build_stereo_net(seed=31, max_disp=4, channels_base=4)
+        gen = Generator(seed=30, channels_base=4)
+        stereo = StereoNet(seed=31, max_disp=4, channels_base=4)
         rng = np.random.default_rng(32)
         left = Tensor(rng.uniform(0, 1, (1, 3, 16, 32)).astype(np.float32))
         right = Tensor(rng.uniform(0, 1, (1, 3, 16, 32)).astype(np.float32))

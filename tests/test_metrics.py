@@ -5,7 +5,7 @@ import pytest
 
 from warpadapt import metrics as M
 from warpadapt.errors import MetricError, UsageError
-from warpadapt.networks import build_extractor
+from warpadapt.networks import Extractor
 from warpadapt.scenegen import apply_domain_shift, generate_scene, shift_preset
 
 from test_kernels import ssim_bruteforce
@@ -206,11 +206,11 @@ class TestEvaluate:
             def translate(self, x):
                 return x
 
-        from warpadapt.networks import build_flow_net, build_stereo_net
+        from warpadapt.networks import FlowNet, StereoNet
         nets = {"gen_a2b": Identity(), "gen_b2a": Identity(),
-                "stereo": build_stereo_net(1, max_disp=8, channels_base=4),
-                "flow": build_flow_net(2, max_flow=4, channels_base=4),
-                "extractor": build_extractor(3)}
+                "stereo": StereoNet(1, max_disp=8, channels_base=4),
+                "flow": FlowNet(2, max_flow=4, channels_base=4),
+                "extractor": Extractor(3)}
         report = M.evaluate(nets, self.make_val_set(2))
         assert report.psnr == float("inf")
         assert report.ssim == pytest.approx(1.0)
@@ -218,12 +218,11 @@ class TestEvaluate:
         assert np.isfinite(report.epe_disp)
 
     def test_deterministic(self):
-        from warpadapt.networks import (build_flow_net, build_generator,
-                                        build_stereo_net)
-        nets = {"gen_a2b": build_generator(1, 4), "gen_b2a": build_generator(2, 4),
-                "stereo": build_stereo_net(3, max_disp=8, channels_base=4),
-                "flow": build_flow_net(4, max_flow=4, channels_base=4),
-                "extractor": build_extractor(5)}
+        from warpadapt.networks import FlowNet, Generator, StereoNet
+        nets = {"gen_a2b": Generator(1, 4), "gen_b2a": Generator(2, 4),
+                "stereo": StereoNet(3, max_disp=8, channels_base=4),
+                "flow": FlowNet(4, max_flow=4, channels_base=4),
+                "extractor": Extractor(5)}
         samples = self.make_val_set(2)
         r1 = M.evaluate(nets, samples)
         r2 = M.evaluate(nets, samples)

@@ -3,8 +3,7 @@ import pytest
 
 from warpadapt.autograd import Tensor, backward, no_grad
 from warpadapt.errors import ConfigError
-from warpadapt.networks import (build_discriminator, build_extractor,
-                                build_flow_net, build_generator, build_stereo_net)
+from warpadapt.networks import Discriminator, Extractor, FlowNet, Generator, StereoNet
 
 
 def rand_img(shape, seed=0):
@@ -14,42 +13,42 @@ def rand_img(shape, seed=0):
 
 class TestGenerator:
     def test_shape_preserved_and_range(self):
-        gen = build_generator(seed=1, channels_base=4)
+        gen = Generator(seed=1, channels_base=4)
         out, _ = gen.forward(rand_img((1, 3, 64, 128), seed=2))
         assert out.shape == (1, 3, 64, 128)
         assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
     def test_range_for_extreme_inputs(self):
-        gen = build_generator(seed=1, channels_base=4)
+        gen = Generator(seed=1, channels_base=4)
         hot = Tensor(np.full((1, 3, 16, 32), 50.0, dtype=np.float32))
         out, _ = gen.forward(hot)
         assert out.data.min() >= 0.0 and out.data.max() <= 1.0
 
     def test_same_seed_identical_params(self):
-        a = build_generator(seed=9, channels_base=4)
-        b = build_generator(seed=9, channels_base=4)
+        a = Generator(seed=9, channels_base=4)
+        b = Generator(seed=9, channels_base=4)
         for name in a.parameters():
             assert np.array_equal(a.parameters()[name].data, b.parameters()[name].data)
 
     def test_tap_shapes(self):
-        gen = build_generator(seed=1, channels_base=4)
+        gen = Generator(seed=1, channels_base=4)
         _, taps = gen.forward(rand_img((1, 3, 64, 128)))
         assert [t.shape[2:] for t in taps] == [(32, 64), (16, 32), (16, 32)]
 
     def test_channels_base_floor(self):
         with pytest.raises(ConfigError):
-            build_generator(seed=1, channels_base=2)
+            Generator(seed=1, channels_base=2)
 
 
 class TestDiscriminator:
     def test_patch_map_shape_and_range(self):
-        disc = build_discriminator(seed=3, channels_base=4)
+        disc = Discriminator(seed=3, channels_base=4)
         out = disc.forward(rand_img((1, 3, 64, 128), seed=4))
         assert out.shape == (1, 1, 4, 8)
         assert np.all((out.data > 0) & (out.data < 1))
 
     def test_zero_parameters_give_half(self):
-        disc = build_discriminator(seed=3, channels_base=4)
+        disc = Discriminator(seed=3, channels_base=4)
         for p in disc.parameters().values():
             p.data = np.zeros_like(p.data)
         out = disc.forward(rand_img((1, 3, 64, 128), seed=5))
@@ -57,20 +56,20 @@ class TestDiscriminator:
 
     def test_determinism(self):
         img = rand_img((1, 3, 32, 64), seed=6)
-        a = build_discriminator(seed=7, channels_base=4).forward(img)
-        b = build_discriminator(seed=7, channels_base=4).forward(img)
+        a = Discriminator(seed=7, channels_base=4).forward(img)
+        b = Discriminator(seed=7, channels_base=4).forward(img)
         assert np.array_equal(a.data, b.data)
 
 
 class TestStereoNet:
     def test_stage_pyramid_shapes(self):
-        net = build_stereo_net(seed=8, max_disp=16, channels_base=4)
+        net = StereoNet(seed=8, max_disp=16, channels_base=4)
         stages = net.forward(rand_img((1, 3, 64, 128), seed=9),
                              rand_img((1, 3, 64, 128), seed=10))
         assert [s.shape for s in stages] == [(1, 1, 16, 32), (1, 1, 32, 64), (1, 1, 64, 128)]
 
     def test_nonnegative_everywhere(self):
-        net = build_stereo_net(seed=11, max_disp=8, channels_base=4)
+        net = StereoNet(seed=11, max_disp=8, channels_base=4)
         stages = net.forward(rand_img((1, 3, 32, 64), seed=12),
                              rand_img((1, 3, 32, 64), seed=13))
         for s in stages:
@@ -78,14 +77,14 @@ class TestStereoNet:
 
     def test_max_disp_validation(self):
         with pytest.raises(ConfigError):
-            build_stereo_net(seed=1, max_disp=6)
+            StereoNet(seed=1, max_disp=6)
         with pytest.raises(ConfigError):
-            build_stereo_net(seed=1, max_disp=2)
+            StereoNet(seed=1, max_disp=2)
 
 
 class TestFlowNet:
     def test_final_stage_two_channels(self):
-        net = build_flow_net(seed=14, max_flow=8, channels_base=4)
+        net = FlowNet(seed=14, max_flow=8, channels_base=4)
         stages = net.forward(rand_img((1, 3, 64, 128), seed=15),
                              rand_img((1, 3, 64, 128), seed=16))
         assert stages[-1].shape == (1, 2, 64, 128)
@@ -93,13 +92,13 @@ class TestFlowNet:
     def test_same_seed_same_prediction(self):
         a_img = rand_img((1, 3, 32, 64), seed=17)
         b_img = rand_img((1, 3, 32, 64), seed=18)
-        p1 = build_flow_net(seed=19, max_flow=4, channels_base=4).forward(a_img, b_img)
-        p2 = build_flow_net(seed=19, max_flow=4, channels_base=4).forward(a_img, b_img)
+        p1 = FlowNet(seed=19, max_flow=4, channels_base=4).forward(a_img, b_img)
+        p2 = FlowNet(seed=19, max_flow=4, channels_base=4).forward(a_img, b_img)
         assert np.array_equal(p1[-1].data, p2[-1].data)
 
     def test_signed_output(self):
         # flow is unrectified: some negative values should exist at init
-        net = build_flow_net(seed=20, max_flow=4, channels_base=4)
+        net = FlowNet(seed=20, max_flow=4, channels_base=4)
         stages = net.forward(rand_img((1, 3, 32, 64), seed=21),
                              rand_img((1, 3, 32, 64), seed=22))
         assert stages[-1].data.min() < 0
@@ -107,7 +106,7 @@ class TestFlowNet:
 
 class TestExtractor:
     def test_frozen_determinism(self):
-        ext = build_extractor(seed=23)
+        ext = Extractor(seed=23)
         img = rand_img((1, 3, 32, 64), seed=24)
         f1 = ext.features(img)
         f2 = ext.features(img)
@@ -115,18 +114,18 @@ class TestExtractor:
             assert np.array_equal(a.data, b.data)
 
     def test_feature_shapes(self):
-        ext = build_extractor(seed=25)
+        ext = Extractor(seed=25)
         feats = ext.features(rand_img((1, 3, 64, 128), seed=26))
         assert [f.shape[1] for f in feats] == [8, 16, 32]
         assert [f.shape[2:] for f in feats] == [(64, 128), (32, 64), (16, 32)]
 
     def test_zero_image_bias_response(self):
-        ext = build_extractor(seed=27)
+        ext = Extractor(seed=27)
         feats = ext.features(Tensor(np.zeros((1, 3, 16, 32), dtype=np.float32)))
         assert any(np.abs(f.data).max() > 0 for f in feats)
 
     def test_parameters_never_require_grad(self):
-        ext = build_extractor(seed=28)
+        ext = Extractor(seed=28)
         assert all(not p.requires_grad for p in ext.parameters().values())
         img = Tensor(np.random.default_rng(29).uniform(0, 1, (1, 3, 16, 32)).astype(np.float32),
                      requires_grad=True)
@@ -144,10 +143,10 @@ class TestGradFlow:
         from warpadapt import losses as L
         from warpadapt.warping import WarpField, multiscale_warp_loss
 
-        gen = build_generator(seed=30, channels_base=4)
-        disc = build_discriminator(seed=31, channels_base=4)
-        stereo = build_stereo_net(seed=32, max_disp=4, channels_base=4)
-        flow = build_flow_net(seed=33, max_flow=4, channels_base=4)
+        gen = Generator(seed=30, channels_base=4)
+        disc = Discriminator(seed=31, channels_base=4)
+        stereo = StereoNet(seed=32, max_disp=4, channels_base=4)
+        flow = FlowNet(seed=33, max_flow=4, channels_base=4)
         left = rand_img((1, 3, 16, 32), seed=34)
         right = rand_img((1, 3, 16, 32), seed=35)
 

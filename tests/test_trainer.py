@@ -3,6 +3,7 @@ import pytest
 
 from warpadapt import trainer as T
 from warpadapt.autograd import Tensor
+from warpadapt.dataio import CHECKPOINT_MAGIC, Reader
 from warpadapt.errors import ConfigError, FormatError
 from warpadapt.losses import LossWeights
 from warpadapt.scenegen import apply_domain_shift, generate_scene, shift_preset, write_dataset
@@ -54,13 +55,13 @@ class TestOverfit:
     def test_stereo_converges_on_zero_disparity_pair(self):
         from warpadapt.autograd import backward
         from warpadapt.losses import supervised_disp_loss
-        from warpadapt.networks import build_stereo_net
+        from warpadapt.networks import StereoNet
         from warpadapt.warping import WarpField
 
         rng = np.random.default_rng(0)
         img = Tensor(rng.uniform(0, 1, (1, 3, 32, 64)).astype(np.float32))
         gt = WarpField("disparity", Tensor(np.zeros((1, 1, 32, 64), dtype=np.float32)))
-        net = build_stereo_net(seed=1, max_disp=8, channels_base=4)
+        net = StereoNet(seed=1, max_disp=8, channels_base=4)
         opt = T.Adam(net.parameters(), lr=1e-3, betas=(0.9, 0.999))
         for _ in range(200):
             stages = net.forward(img, img)
@@ -75,13 +76,13 @@ class TestOverfit:
     def test_flow_converges_on_static_pair(self):
         from warpadapt.autograd import backward
         from warpadapt.losses import supervised_flow_loss
-        from warpadapt.networks import build_flow_net
+        from warpadapt.networks import FlowNet
         from warpadapt.warping import WarpField
 
         rng = np.random.default_rng(2)
         img = Tensor(rng.uniform(0, 1, (1, 3, 32, 64)).astype(np.float32))
         gt = WarpField("flow", Tensor(np.zeros((1, 2, 32, 64), dtype=np.float32)))
-        net = build_flow_net(seed=3, max_flow=4, channels_base=4)
+        net = FlowNet(seed=3, max_flow=4, channels_base=4)
         opt = T.Adam(net.parameters(), lr=1e-3, betas=(0.9, 0.999))
         for _ in range(200):
             stages = net.forward(img, img)
@@ -159,6 +160,52 @@ class TestDeterminism:
 
 
 class TestCheckpoint:
+    # config records of the checkpoint format, in file order
+    CFG_RECORDS = [
+        "cfg.k", "cfg.total_iters", "cfg.batch_size", "cfg.lr_translation", "cfg.lr_disp",
+        "cfg.lr_flow", "cfg.adam_beta1", "cfg.adam_beta2", "cfg.flow_weight_decay",
+        "cfg.seed", "cfg.eval_every", "cfg.channels_base", "cfg.max_disp", "cfg.max_flow",
+        "cfg.val_count", "cfg.gamma_stages", "cfg.objective_id", "cfg.d1_mode_id",
+        "cfg.weights.lambda_translation", "cfg.weights.lambda_cycle",
+        "cfg.weights.lambda_perceptual", "cfg.weights.lambda_cosine",
+        "cfg.weights.lambda_disp_warp_syn", "cfg.weights.lambda_flow_warp_syn",
+        "cfg.weights.lambda_corr", "cfg.weights.lambda_ms", "cfg.weights.lambda_disp",
+        "cfg.weights.lambda_disp_warp_real", "cfg.weights.lambda_flow",
+        "cfg.weights.lambda_flow_warp_real",
+    ]
+
+    def test_config_record_names_and_order(self, tmp_path):
+        path = str(tmp_path / "c.wck")
+        T.save_checkpoint(T.init_state(tiny_config()), path)
+        with open(path, "rb") as fh:
+            r = Reader(fh.read())
+        r.expect_magic(CHECKPOINT_MAGIC)
+        r.u32()
+        names = []
+        for _ in range(r.u32()):
+            names.append(r.take(r.u16()).decode())
+            r.tensor()
+        assert [n for n in names if n.startswith("cfg.")] == self.CFG_RECORDS
+
+    def test_embedded_config_rebuilds_non_default(self, tmp_path):
+        # every float is exact in float32, so the embedded copy compares equal
+        cfg = tiny_config(objective="source_only", d1_mode="and", k=3,
+                          weights=LossWeights(lambda_ms=0.25),
+                          lr_translation=2.0 ** -12, lr_disp=2.0 ** -10, lr_flow=2.0 ** -9,
+                          adam_beta1=0.875, adam_beta2=0.9921875,
+                          flow_weight_decay=2.0 ** -6, gamma_stages=0.75)
+        path = str(tmp_path / "c.wck")
+        T.save_checkpoint(T.init_state(cfg), path)
+        assert T.load_checkpoint(path).config == cfg
+
+    @pytest.mark.parametrize("key, value", [("channels_base", 8), ("max_disp", 16),
+                                            ("max_flow", 8)])
+    def test_resume_with_changed_shape_key_refused(self, tmp_path, key, value):
+        path = str(tmp_path / "c.wck")
+        T.save_checkpoint(T.init_state(tiny_config()), path)
+        with pytest.raises(ConfigError, match=key):
+            T.load_checkpoint(path, tiny_config(**{key: value}))
+
     def test_round_trip_bit_exact(self, tmp_path):
         data = tiny_dataset(tmp_path)
         cfg = tiny_config(total_iters=3)
