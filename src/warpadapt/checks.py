@@ -91,6 +91,12 @@ def kernel_cases(seed: int = 0) -> Iterator[tuple[str, Callable, Tensor, float]]
         yield (f"conv2d/s{s}/b", lambda t, s=s: K.square(K.conv2d(x, w1, t, stride=s)).mean(),
                bias, SMOOTH_TOL)
 
+    # odd extents at stride 2: the last padded row and column are never read.
+    # Drawn from its own stream so the other cases keep their inputs.
+    x_odd = _rand(np.random.default_rng([seed, 1]), (2, 3, 7, 9))
+    yield ("conv2d/s2/odd", lambda t: K.square(K.conv2d(t, w1, bias, stride=2)).mean(),
+           x_odd, SMOOTH_TOL)
+
     wt = _rand(rng, (3, 2, 4, 4), lo=-0.7, hi=0.7)
     bt = _rand(rng, (1, 2, 1, 1))
     yield ("conv_transpose2d/x", lambda t: K.square(K.conv_transpose2d(t, wt, bt)).mean(),

@@ -2,7 +2,9 @@
 
 Each kernel pairs a forward rule with a matched backward rule; composites
 (SSIM, cosine map) are assembled from primitives and differentiate through
-the graph.
+the graph. conv2d and conv_transpose2d share one correlate core (one GEMM per
+kernel tap) and are each other's adjoint: the forward pass of one is the input
+gradient of the other.
 """
 
 from __future__ import annotations
@@ -88,20 +90,65 @@ def smooth_l1(a: Tensor, b: Tensor, beta: float = 1.0) -> Tensor:
 
 
 # -- convolutions -------------------------------------------------------------
+#
+# The correlate core works on contiguous, zero-padded, channel-major (c, b, H, W)
+# copies, so each kernel tap is one GEMM of that tap's weight matrix with a
+# strided slice of the copy, reshaped to (c, b * ho * wo).
 
-def _windows(v: np.ndarray, kh: int, kw: int, stride: int = 1) -> np.ndarray:
-    """Sliding (kh, kw) windows over the two spatial axes: (b, c, ho, wo, kh, kw)."""
-    win = np.lib.stride_tricks.sliding_window_view(v, (kh, kw), axis=(2, 3))
-    return win[:, :, ::stride, ::stride] if stride > 1 else win
-
-
-def _dilate(v: np.ndarray, stride: int) -> np.ndarray:
-    if stride == 1:
-        return v
+def _channel_major(v: np.ndarray, pad: int = 0) -> np.ndarray:
+    """(b, c, h, w) -> contiguous, zero-padded (c, b, h + 2 pad, w + 2 pad)."""
     bs, c, h, w = v.shape
-    out = np.zeros((bs, c, (h - 1) * stride + 1, (w - 1) * stride + 1), dtype=v.dtype)
-    out[:, :, ::stride, ::stride] = v
+    out = np.zeros((c, bs, h + 2 * pad, w + 2 * pad), dtype=v.dtype)
+    out[:, :, pad:pad + h, pad:pad + w] = v.transpose(1, 0, 2, 3)
     return out
+
+
+def _batch_major(v: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """(c, b, h, w) -> contiguous (b, c, h, w), plus a (1, c, 1, 1) bias."""
+    return np.add(v.transpose(1, 0, 2, 3), bias, order="C")
+
+
+def _taps(kh: int, kw: int, ho: int, wo: int, stride: int):
+    """Per kernel tap (i, j): the slice of a padded (c, b, H, W) array it reads."""
+    for i in range(kh):
+        for j in range(kw):
+            yield i, j, (slice(None), slice(None), slice(i, i + stride * (ho - 1) + 1, stride),
+                         slice(j, j + stride * (wo - 1) + 1, stride))
+
+
+def _correlate(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
+    """Valid strided correlation: (cin, b, H, W) with (cout, cin, kh, kw) -> (cout, b, ho, wo)."""
+    cin, bs, hp, wp = xp.shape
+    cout, _, kh, kw = w.shape
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    out = np.zeros((cout, bs * ho * wo), dtype=np.result_type(xp, w))
+    for i, j, tap in _taps(kh, kw, ho, wo, stride):
+        out += w[:, :, i, j] @ xp[tap].reshape(cin, -1)
+    return out.reshape(cout, bs, ho, wo)
+
+
+def _correlate_adjoint(g: np.ndarray, w: np.ndarray, stride: int,
+                       hp: int, wp: int) -> np.ndarray:
+    """Adjoint of ``_correlate`` in its input: (cout, b, ho, wo) -> (cin, b, hp, wp)."""
+    cout, bs, ho, wo = g.shape
+    _, cin, kh, kw = w.shape
+    gm = g.reshape(cout, -1)
+    out = np.zeros((cin, bs, hp, wp), dtype=np.result_type(g, w))
+    for i, j, tap in _taps(kh, kw, ho, wo, stride):
+        out[tap] += (w[:, :, i, j].T @ gm).reshape(cin, bs, ho, wo)
+    return out
+
+
+def _correlate_wgrad(g: np.ndarray, xp: np.ndarray, kh: int, kw: int,
+                     stride: int) -> np.ndarray:
+    """Gradient of ``_correlate`` in its weight: (cout, cin, kh, kw)."""
+    cout, bs, ho, wo = g.shape
+    gm = g.reshape(cout, -1)
+    dw = np.empty((cout, xp.shape[0], kh, kw), dtype=np.result_type(g, xp))
+    for i, j, tap in _taps(kh, kw, ho, wo, stride):
+        dw[:, :, i, j] = gm @ xp[tap].reshape(xp.shape[0], -1).T
+    return dw
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
@@ -118,23 +165,17 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Te
     wo = (wd + 2 * pad - kw) // stride + 1
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"kernel {kh}x{kw} too large for input {h}x{wd} with pad {pad}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out = np.einsum("bchwij,ocij->bohw", _windows(xp, kh, kw, stride), w.data,
-                    optimize=True) + b.data
+    xp = _channel_major(x.data, pad)
+    out = _batch_major(_correlate(xp, w.data, stride), b.data)
 
     def backward(g):
         db = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
-        dw = np.einsum("bchwij,bohw->ocij", _windows(xp, kh, kw, stride), g,
-                       optimize=True)
-        # input gradient: full correlation of the (dilated) output gradient with
-        # the flipped kernel; asymmetric right padding absorbs positions the
-        # strided forward never reached, and the crop is folded into the left pad
-        gd = _dilate(g, stride)
-        gp = np.pad(gd, ((0, 0), (0, 0),
-                         (kh - 1 - pad, h + pad - gd.shape[2]),
-                         (kw - 1 - pad, wd + pad - gd.shape[3])))
-        wf = w.data[:, :, ::-1, ::-1]
-        dx = np.einsum("bohwij,ocij->bchw", _windows(gp, kh, kw, 1), wf, optimize=True)
+        gc = _channel_major(g)
+        dw = _correlate_wgrad(gc, xp, kh, kw, stride) if w.requires_grad else None
+        dx = None
+        if x.requires_grad:
+            dxp = _correlate_adjoint(gc, w.data, stride, xp.shape[2], xp.shape[3])
+            dx = np.ascontiguousarray(dxp[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3))
         return dx, dw, db
 
     return result(out, (x, w, b), backward)
@@ -152,21 +193,17 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int 
     wo = (wd - 1) * stride - 2 * pad + kw
     if ho <= 0 or wo <= 0:
         raise ShapeError("degenerate transposed-conv output")
-    # forward is the adjoint of a stride-s convolution: dilate, pad, correlate
-    # with the flipped kernel
-    xd = _dilate(x.data, stride)
-    xpad = np.pad(xd, ((0, 0), (0, 0), (kh - 1 - pad, kh - 1 - pad),
-                       (kw - 1 - pad, kw - 1 - pad)))
-    wf = w.data[:, :, ::-1, ::-1]
-    out = np.einsum("bchwij,coij->bohw", _windows(xpad, kh, kw, 1), wf,
-                    optimize=True) + b.data
+    # read as a conv2d weight, w maps cout channels to cin: the forward pass is
+    # the adjoint of that stride-s convolution, cropped by the padding
+    yp = _correlate_adjoint(_channel_major(x.data), w.data, stride, ho + 2 * pad, wo + 2 * pad)
+    out = _batch_major(yp[:, :, pad:pad + ho, pad:pad + wo], b.data)
 
     def backward(g):
         db = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
-        gp = np.pad(g, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        gwin = _windows(gp, kh, kw, stride)
-        dw = np.einsum("bchw,bohwij->coij", x.data, gwin, optimize=True)
-        dx = np.einsum("bohwij,coij->bchw", gwin, w.data, optimize=True)
+        gp = _channel_major(g, pad)
+        dw = _correlate_wgrad(_channel_major(x.data), gp, kh, kw, stride) if w.requires_grad else None
+        dx = (np.ascontiguousarray(_correlate(gp, w.data, stride).transpose(1, 0, 2, 3))
+              if x.requires_grad else None)
         return dx, dw, db
 
     return result(out, (x, w, b), backward)

@@ -9,6 +9,7 @@ feature warping on real data along the predicted fields).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from . import kernels as K
@@ -42,8 +43,9 @@ class LossWeights:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise UsageError(f"{f.name} must be non-negative")
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise UsageError(f"{f.name} must be finite and non-negative, got {value}")
 
 
 BREAKDOWN_KEYS = (

@@ -10,6 +10,7 @@ so their parameters can never accumulate gradients.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import warnings
@@ -63,11 +64,13 @@ class TrainConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.val_count < 0:
-            raise ConfigError(f"val_count must be >= 0, got {self.val_count}")
+        for name in ("seed", "eval_every", "val_count"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("lr_translation", "lr_disp", "lr_flow"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}")

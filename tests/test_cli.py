@@ -90,8 +90,14 @@ class TestTrain:
         (["--val_count", "-1"], None),
         (["--objective", "bogus"], None),
         ([], "k = abc\n"),
+        (["--seed", "-1"], None),
+        (["--eval_every", "-1"], None),
+        (["--lr_disp", "nan"], None),
+        (["--lr_flow", "inf"], None),
+        (["--weights.lambda_ms", "nan"], None),
     ], ids=["k_not_int", "weight_not_float", "batch_size_0", "val_count_negative",
-            "unknown_objective", "config_file_k_not_int"])
+            "unknown_objective", "config_file_k_not_int", "seed_negative",
+            "eval_every_negative", "lr_disp_nan", "lr_flow_inf", "weight_nan"])
     def test_bad_value_exits_2(self, tmp_path, small_run, capsys, overrides, config_text):
         # a valid one-step run but for the value under test, so only that value
         # can cause the exit code

@@ -34,6 +34,26 @@ def conv2d_bruteforce(x, w, b, stride, pad):
     return out
 
 
+def conv_transpose2d_bruteforce(x, w, b, stride, pad):
+    """Scatter each input pixel through the kernel, then crop ``pad`` per side."""
+    bs, cin, h, wd = x.shape
+    _, cout, kh, kw = w.shape
+    ho = (h - 1) * stride - 2 * pad + kh
+    wo = (wd - 1) * stride - 2 * pad + kw
+    out = np.zeros((bs, cout, ho, wo)) + b
+    for n in range(bs):
+        for c in range(cin):
+            for y in range(h):
+                for z in range(wd):
+                    for o in range(cout):
+                        for i in range(kh):
+                            for j in range(kw):
+                                oy, oz = y * stride + i - pad, z * stride + j - pad
+                                if 0 <= oy < ho and 0 <= oz < wo:
+                                    out[n, o, oy, oz] += x[n, c, y, z] * w[c, o, i, j]
+    return out
+
+
 def bilinear_sample_bruteforce(img, gx, gy):
     """Zero outside: each of the four taps contributes only when in bounds."""
     c, h, w = img.shape
@@ -120,14 +140,27 @@ class TestPointwise:
 
 class TestConv:
     def test_conv2d_matches_bruteforce(self):
-        for stride in (1, 2):
-            x = rand((2, 3, 6, 8), seed=7)
-            w = rand((4, 3, 3, 3), seed=8, lo=-1, hi=1)
-            b = rand((1, 4, 1, 1), seed=9)
-            got = K.conv2d(x, w, b, stride=stride, pad=1).data
-            want = conv2d_bruteforce(x.data, w.data, b.data, stride, 1)
-            assert got.shape == want.shape
-            assert np.allclose(got, want, atol=1e-10)
+        # odd extents at stride 2 leave the last padded row and column unread
+        for shape in ((2, 3, 6, 8), (2, 3, 7, 9)):
+            for stride in (1, 2):
+                x = rand(shape, seed=7)
+                w = rand((4, 3, 3, 3), seed=8, lo=-1, hi=1)
+                b = rand((1, 4, 1, 1), seed=9)
+                got = K.conv2d(x, w, b, stride=stride, pad=1).data
+                want = conv2d_bruteforce(x.data, w.data, b.data, stride, 1)
+                assert got.shape == want.shape
+                assert np.allclose(got, want, atol=1e-10)
+
+    @pytest.mark.parametrize("cout", [3, 8])
+    def test_conv_transpose_matches_bruteforce(self, cout):
+        # the decoder layouts: (cin, cout, 4, 4) weights, stride 2, pad 1
+        x = rand((2, 4, 3, 5), seed=14)
+        w = rand((4, cout, 4, 4), seed=15, lo=-1, hi=1)
+        b = rand((1, cout, 1, 1), seed=16)
+        got = K.conv_transpose2d(x, w, b, stride=2, pad=1).data
+        want = conv_transpose2d_bruteforce(x.data, w.data, b.data, 2, 1)
+        assert got.shape == want.shape == (2, cout, 6, 10)
+        assert np.allclose(got, want, atol=1e-10)
 
     def test_conv_transpose_doubles_extent(self):
         x = rand((1, 3, 5, 7), seed=10)
