@@ -92,6 +92,9 @@ def _write_image_pair(out_dir: str, name: str, image: np.ndarray, domain: str) -
 # -- subcommands -------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
+    for name in ("count", "seed"):
+        if getattr(args, name) < 0:
+            raise ConfigError(f"{name} must be >= 0, got {getattr(args, name)}")
     shift = shift_preset(args.shift_preset)
     samples = []
     for i in range(args.count):

@@ -4,7 +4,8 @@ Scenes are textured rectangles and ellipses at per-layer constant depth over a
 textured background. Each view (left, right, next frame) is re-composited from
 the layer geometry rather than warped, so occlusions are genuine: disparity
 shifts every layer horizontally by its own amount and flow translates it in
-2-D. Textures are low-frequency sinusoids evaluated analytically at each
+2-D. The nearest layer covering a pixel owns it, and only owned pixels are
+textured. Textures are low-frequency sinusoids evaluated analytically at each
 view's coordinates, keeping photoconsistency errors well under the bilinear
 interpolation tolerance.
 
@@ -154,19 +155,27 @@ def _sample_layers(rng, width, height, max_disp, max_flow, num_layers):
 
 
 def _composite(layers, xs, ys, offset_of):
-    """Render one view: every layer is tested and textured at its own offset."""
-    img = np.zeros((3,) + xs.shape)
+    """Render one view: the nearest layer covering a pixel owns it.
+
+    The membership tests run first, far to near at each layer's own offset,
+    and build the owner-id map. Each layer is then textured only at the pixels
+    it owns, so every pixel is textured exactly once.
+    """
+    offsets = [offset_of(layer) for layer in layers]
     ids = np.full(xs.shape, -1, dtype=np.int32)
-    for idx, layer in enumerate(layers):
-        ox, oy = offset_of(layer)
-        lx, ly = xs - ox, ys - oy
-        m = layer.member(lx, ly)
-        if not m.any():
-            continue
-        tex = _eval_texture(layer.tex, lx, ly)
-        img[:, m] = tex[:, m]
-        ids[m] = idx
-    return img, ids
+    for idx, (layer, (ox, oy)) in enumerate(zip(layers, offsets)):
+        ids[layer.member(xs - ox, ys - oy)] = idx
+    # one partition of the owner map: layer idx owns order[bounds[idx]:bounds[idx + 1]]
+    flat = ids.ravel()
+    order = np.argsort(flat, kind="stable")
+    bounds = np.searchsorted(flat[order], np.arange(len(layers) + 1))
+    img = np.zeros((3, flat.size))
+    for idx, (layer, (ox, oy)) in enumerate(zip(layers, offsets)):
+        own = order[bounds[idx]:bounds[idx + 1]]
+        if own.size:
+            img[:, own] = _eval_texture(layer.tex, xs.ravel()[own] - ox,
+                                        ys.ravel()[own] - oy)
+    return img.reshape((3,) + xs.shape), ids
 
 
 def _lookup_ids(ids, qx, qy):
@@ -198,6 +207,10 @@ def render_scene(seed: int, width: int = 128, height: int = 64, max_disp: int = 
     """Generate one synthetic tuple plus its visibility diagnostics."""
     if width < 8 or height < 8 or width % 4 or height % 4:
         raise ConfigError(f"extents must be >= 8 and divisible by 4, got {width}x{height}")
+    # below these, the per-layer disparity and flow ranges in _sample_layers can be empty
+    if max_disp < 2 or max_flow < 1:
+        raise ConfigError(f"need max_disp >= 2 and max_flow >= 1, "
+                          f"got {max_disp} and {max_flow}")
     rng = np.random.default_rng(np.random.PCG64(seed))
     layers = _sample_layers(rng, width, height, max_disp, max_flow, num_layers)
     ys, xs = np.meshgrid(np.arange(height, dtype=np.float64),

@@ -64,13 +64,20 @@ class TrainConfig:
             raise ConfigError(f"k must be >= 1, got {self.k}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        for name in ("seed", "eval_every", "val_count"):
+        for name in ("total_iters", "seed", "eval_every", "val_count"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         for name in ("lr_translation", "lr_disp", "lr_flow"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
+        for name in ("adam_beta1", "adam_beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:  # also false for nan
+                raise ConfigError(f"{name} must be in [0, 1), got {value}")
+        if not (math.isfinite(self.flow_weight_decay) and self.flow_weight_decay >= 0):
+            raise ConfigError(f"flow_weight_decay must be finite and >= 0, "
+                              f"got {self.flow_weight_decay}")
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}")

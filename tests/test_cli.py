@@ -38,6 +38,18 @@ class TestGenerate:
         syn, real = split_domains(read_dataset(out))
         assert len(syn) == 2 and len(real) == 2
 
+    @pytest.mark.parametrize("flags", [["--max-disp", "0"], ["--max-flow", "-3"],
+                                       ["--count", "-1"], ["--seed", "-1"]],
+                             ids=["max_disp_0", "max_flow_negative", "count_negative",
+                                  "seed_negative"])
+    def test_bad_value_exits_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "d"
+        assert run(["generate", "--out", str(out), "--count", "1", "--width", "32",
+                    "--height", "16"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestConfigParsing:
     def test_key_value_with_comments(self):
@@ -95,9 +107,15 @@ class TestTrain:
         (["--lr_disp", "nan"], None),
         (["--lr_flow", "inf"], None),
         (["--weights.lambda_ms", "nan"], None),
+        (["--adam_beta2", "1.5"], None),
+        (["--adam_beta1", "nan"], None),
+        (["--flow_weight_decay", "-1"], None),
+        (["--total_iters", "-3"], None),
     ], ids=["k_not_int", "weight_not_float", "batch_size_0", "val_count_negative",
             "unknown_objective", "config_file_k_not_int", "seed_negative",
-            "eval_every_negative", "lr_disp_nan", "lr_flow_inf", "weight_nan"])
+            "eval_every_negative", "lr_disp_nan", "lr_flow_inf", "weight_nan",
+            "adam_beta2_above_1", "adam_beta1_nan", "flow_weight_decay_negative",
+            "total_iters_negative"])
     def test_bad_value_exits_2(self, tmp_path, small_run, capsys, overrides, config_text):
         # a valid one-step run but for the value under test, so only that value
         # can cause the exit code

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from warpadapt import scenegen
 from warpadapt.autograd import Tensor
 from warpadapt.errors import ConfigError, FormatError
 from warpadapt.scenegen import (DomainShift, SceneSample, apply_domain_shift,
@@ -68,6 +69,75 @@ class TestGenerate:
     def test_degenerate_extent_rejected(self):
         with pytest.raises(ConfigError):
             generate_scene(seed=0, width=30, height=32)
+
+    @pytest.mark.parametrize("max_disp, max_flow", [(1, 8), (16, 0)])
+    def test_empty_displacement_range_rejected(self, max_disp, max_flow):
+        with pytest.raises(ConfigError):
+            generate_scene(seed=0, width=32, height=16, max_disp=max_disp, max_flow=max_flow)
+
+
+def painter_composite(layers, xs, ys, offset_of):
+    """Reference composite, the painter's algorithm: every layer is textured
+    over the whole view, far to near, and nearer layers overwrite it."""
+    img = np.zeros((3,) + xs.shape)
+    ids = np.full(xs.shape, -1, dtype=np.int32)
+    for idx, layer in enumerate(layers):
+        ox, oy = offset_of(layer)
+        lx, ly = xs - ox, ys - oy
+        m = layer.member(lx, ly)
+        if not m.any():
+            continue
+        tex = scenegen._eval_texture(layer.tex, lx, ly)
+        img[:, m] = tex[:, m]
+        ids[m] = idx
+    return img, ids
+
+
+# default extents (seed 4 hides a layer in every view), one layer, twelve
+# layers, and a small scene with a short disparity range
+COMPOSITE_CASES = ([(seed, {}) for seed in range(6)]
+                   + [(seed, {"num_layers": 0}) for seed in range(2)]
+                   + [(seed, {"num_layers": 12}) for seed in range(3)]
+                   + [(seed, {"width": 96, "height": 48, "max_disp": 8}) for seed in range(3)])
+COMPOSITE_IDS = [f"seed{seed}" + "".join(f"-{k}{v}" for k, v in kwargs.items())
+                 for seed, kwargs in COMPOSITE_CASES]
+
+
+class TestComposite:
+    @pytest.mark.parametrize("seed, kwargs", COMPOSITE_CASES, ids=COMPOSITE_IDS)
+    def test_matches_painter(self, monkeypatch, seed, kwargs):
+        got, got_diag = render_scene(seed, **kwargs)
+        monkeypatch.setattr(scenegen, "_composite", painter_composite)
+        want, want_diag = render_scene(seed, **kwargs)
+        for name in ("left", "right", "next_left", "disparity", "flow", "occlusion"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(got_diag.stereo_valid, want_diag.stereo_valid)
+
+    def test_cases_include_a_layer_that_owns_no_pixel(self, monkeypatch):
+        composite = scenegen._composite
+        hidden = []
+
+        def recording(layers, xs, ys, offset_of):
+            img, ids = composite(layers, xs, ys, offset_of)
+            hidden.append(np.bincount(ids.ravel(), minlength=len(layers)).min() == 0)
+            return img, ids
+
+        monkeypatch.setattr(scenegen, "_composite", recording)
+        for seed, kwargs in COMPOSITE_CASES:
+            render_scene(seed, **kwargs)
+        assert len(hidden) == 3 * len(COMPOSITE_CASES) and any(hidden)
+
+    def test_each_pixel_textured_once(self, monkeypatch):
+        texture = scenegen._eval_texture
+        textured = []
+
+        def counting(tex, xs, ys):
+            textured.append(xs.size)
+            return texture(tex, xs, ys)
+
+        monkeypatch.setattr(scenegen, "_eval_texture", counting)
+        render_scene(4, width=128, height=64)
+        assert sum(textured) == 3 * 128 * 64
 
 
 class TestDomainShift:
