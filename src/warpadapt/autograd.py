@@ -122,13 +122,6 @@ def make_tensor(shape: Sequence[int], values, requires_grad: bool = False) -> Te
     return Tensor(flat.reshape(shape), requires_grad=requires_grad)
 
 
-def from_array(arr: np.ndarray, requires_grad: bool = False) -> Tensor:
-    arr = np.asarray(arr)
-    if arr.dtype not in (np.float32, np.float64):
-        arr = arr.astype(np.float32)
-    return Tensor(arr, requires_grad=requires_grad)
-
-
 def result(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
     """Wrap a kernel output, recording the graph edge only when grads are live."""
     if grad_enabled() and any(p.requires_grad for p in parents):

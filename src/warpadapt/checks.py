@@ -180,7 +180,7 @@ def loss_cases(seed: int = 0) -> Iterator[tuple[str, Callable, Tensor, float]]:
     """
     from . import losses as L
     from .networks import Extractor
-    from .warping import WarpField, multiscale_warp_loss, stagewise_warp_loss, warp
+    from .warping import multiscale_warp_loss, stagewise_warp_loss, warp
     from .autograd import no_grad
 
     rng = np.random.default_rng(seed)
@@ -237,7 +237,7 @@ def loss_cases(seed: int = 0) -> Iterator[tuple[str, Callable, Tensor, float]]:
     yield ("mode_seeking", lambda t: L.mode_seeking_loss(t, f2, s1, s2), f1, KINKED_TOL)
 
     field_vals = rng.integers(0, 3, size=(1, 1, 8, 8)) + rng.uniform(0.3, 0.7, size=(1, 1, 8, 8))
-    dfield = WarpField("disparity", Tensor(field_vals.astype(np.float64)))
+    dfield = Tensor(field_vals.astype(np.float64))
     tap_full = _rand(rng, (1, 2, 8, 8))
     with no_grad():
         warped0 = warp(tap_full, dfield, 1)
@@ -246,21 +246,21 @@ def loss_cases(seed: int = 0) -> Iterator[tuple[str, Callable, Tensor, float]]:
            lambda t: multiscale_warp_loss([t], [tap_dst], dfield, sign=1),
            tap_full, KINKED_TOL)
     yield ("warp_loss/disp_values",
-           lambda t: multiscale_warp_loss([tap_full], [tap_dst], WarpField("disparity", t), sign=1),
-           dfield.values, KINKED_TOL)
+           lambda t: multiscale_warp_loss([tap_full], [tap_dst], t, sign=1),
+           dfield, KINKED_TOL)
 
     fvals = rng.integers(-2, 2, size=(1, 2, 8, 8)) + rng.uniform(0.3, 0.7, size=(1, 2, 8, 8))
-    ffield = WarpField("flow", Tensor(fvals.astype(np.float64)))
+    ffield = Tensor(fvals.astype(np.float64))
     with no_grad():
         fwarped0 = warp(tap_full, ffield, 1)
     ftap_dst = Tensor(fwarped0.data + _offset(rng, (1, 2, 8, 8), 0.1, 0.6))
     yield ("warp_loss/flow_values",
-           lambda t: multiscale_warp_loss([tap_full], [ftap_dst], WarpField("flow", t), sign=1),
-           ffield.values, KINKED_TOL)
+           lambda t: multiscale_warp_loss([tap_full], [ftap_dst], t, sign=1),
+           ffield, KINKED_TOL)
 
     # constant-base targets: upsampling preserves them exactly, so stage errors
     # stay inside (0.2, 0.7) and never touch the smooth-L1 corner at 1
-    gt_d = WarpField("disparity", Tensor(np.full((1, 1, 8, 8), 2.3)))
+    gt_d = Tensor(np.full((1, 1, 8, 8), 2.3))
     stage_fine = Tensor(2.3 + _offset(rng, (1, 1, 8, 8), 0.2, 0.7))
     stage_coarse = Tensor((2.3 + _offset(rng, (1, 1, 4, 4), 0.2, 0.7)) / 2.0)
     yield ("supervised_disp/fine",
@@ -270,29 +270,28 @@ def loss_cases(seed: int = 0) -> Iterator[tuple[str, Callable, Tensor, float]]:
            lambda t: L.supervised_disp_loss([t, stage_fine], gt_d, gamma=0.9),
            stage_coarse, KINKED_TOL)
 
-    gt_f = WarpField("flow", Tensor(np.full((1, 2, 8, 8), -0.8)))
+    gt_f = Tensor(np.full((1, 2, 8, 8), -0.8))
     mask = Tensor((rng.uniform(0, 1, (1, 1, 8, 8)) > 0.3).astype(np.float64))
     fstage = Tensor(-0.8 + _offset(rng, (1, 2, 8, 8), 0.2, 0.7))
     yield ("supervised_flow",
            lambda t: L.supervised_flow_loss([t], gt_f, mask, gamma=0.9),
            fstage, KINKED_TOL)
 
-    target = WarpField("disparity", Tensor(np.full((1, 1, 8, 8), 1.7)))
+    target = Tensor(np.full((1, 1, 8, 8), 1.7))
     st = Tensor((1.7 + _offset(rng, (1, 1, 4, 4), 0.2, 0.7)) / 2.0)
     yield ("stagewise_warp",
            lambda t: stagewise_warp_loss([t], target, gamma=0.9),
            st, KINKED_TOL)
 
 
-def run_suite(seed: int = 0, include_losses: bool = True) -> list[CheckResult]:
+def run_suite(seed: int = 0) -> list[CheckResult]:
     results = []
     for case in kernel_cases(seed):
         name, f, x, tol = case[:4]
         step = case[4] if len(case) > 4 else 1e-3
         results.append(CheckResult(f"kernel/{name}", grad_check(f, x, step=step), tol))
-    if include_losses:
-        for case in loss_cases(seed):
-            name, f, x, tol = case[:4]
-            step = case[4] if len(case) > 4 else 1e-3
-            results.append(CheckResult(f"loss/{name}", grad_check(f, x, step=step), tol))
+    for case in loss_cases(seed):
+        name, f, x, tol = case[:4]
+        step = case[4] if len(case) > 4 else 1e-3
+        results.append(CheckResult(f"loss/{name}", grad_check(f, x, step=step), tol))
     return results

@@ -16,9 +16,9 @@ import numpy as np
 from . import metrics as M
 from .autograd import Tensor, no_grad
 from .errors import ConfigError, FormatError, MetricError, UsageError
-from .scenegen import (SceneSample, apply_domain_shift, generate_scene,
-                       read_dataset, sample_from_bytes, sample_to_bytes,
-                       shift_preset, split_domains, write_dataset)
+from .scenegen import (SceneSample, apply_domain_shift, check_scene_params,
+                       generate_scene, read_dataset, sample_from_bytes,
+                       sample_to_bytes, shift_preset, split_domains, write_dataset)
 from .trainer import (CONFIG_KEYS, TrainConfig, config_from_flat, load_checkpoint,
                       run_training)
 
@@ -95,6 +95,7 @@ def cmd_generate(args) -> int:
     for name in ("count", "seed"):
         if getattr(args, name) < 0:
             raise ConfigError(f"{name} must be >= 0, got {getattr(args, name)}")
+    check_scene_params(args.width, args.height, args.max_disp, args.max_flow)
     shift = shift_preset(args.shift_preset)
     samples = []
     for i in range(args.count):

@@ -209,20 +209,6 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int 
     return result(out, (x, w, b), backward)
 
 
-def channel_slice(x: Tensor, start: int, stop: int) -> Tensor:
-    """View of a contiguous channel range as its own tensor."""
-    if not 0 <= start < stop <= x.shape[1]:
-        raise ShapeError(f"channel range [{start}, {stop}) invalid for {x.shape}")
-    out = x.data[:, start:stop].copy()
-
-    def backward(g):
-        dx = np.zeros_like(x.data)
-        dx[:, start:stop] = g
-        return (dx,)
-
-    return result(out, (x,), backward)
-
-
 # -- fixed-window blur (used by SSIM) -----------------------------------------
 
 def _gaussian_window(size: int, sigma: float, dtype) -> np.ndarray:

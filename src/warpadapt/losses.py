@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from . import kernels as K
 from .autograd import Tensor
 from .errors import UsageError
-from .warping import WarpField, stagewise_warp_loss
+from .warping import stagewise_warp_loss
 
 PROB_EPS = 1e-6
 
@@ -121,12 +121,12 @@ def mode_seeking_loss(fake1: Tensor, fake2: Tensor, src1: Tensor, src2: Tensor) 
     return num / den
 
 
-def supervised_disp_loss(stages, gt_disp: WarpField, gamma: float = 0.9) -> Tensor:
+def supervised_disp_loss(stages, gt_disp: Tensor, gamma: float = 0.9) -> Tensor:
     """Stage-weighted smooth-L1 between the disparity pyramid and ground truth."""
     return stagewise_warp_loss(stages, gt_disp, gamma=gamma)
 
 
-def supervised_flow_loss(stages, gt_flow: WarpField, mask: Tensor | None,
+def supervised_flow_loss(stages, gt_flow: Tensor, mask: Tensor | None,
                          gamma: float = 0.9) -> Tensor:
     """Stage-weighted smooth-L1 for flow, gated by the visibility mask."""
     return stagewise_warp_loss(stages, gt_flow, gamma=gamma, mask=mask)

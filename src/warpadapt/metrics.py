@@ -134,8 +134,8 @@ class MetricsReport:
         return ",".join(vals + [str(self.sample_count)])
 
 
-def evaluate(nets: dict, samples, d1_mode: str = "or", flow_valid: str = "all",
-             oracle: bool = False, config: dict | None = None) -> MetricsReport:
+def evaluate(nets: dict, samples, d1_mode: str = "or", oracle: bool = False,
+             config: dict | None = None) -> MetricsReport:
     """Score the task networks and the cycle translation on real-domain samples.
 
     Real samples carry hidden ground truth for exactly this purpose; training
@@ -143,8 +143,6 @@ def evaluate(nets: dict, samples, d1_mode: str = "or", flow_valid: str = "all",
     ground truth and the translation by identity, pinning the zero of every
     error metric.
     """
-    if flow_valid not in ("all", "noc"):
-        raise UsageError(f"flow_valid must be 'all' or 'noc', got {flow_valid!r}")
     samples = [s for s in samples if s.domain == "real"]
     if not samples:
         raise MetricError("no real-domain samples to evaluate")
@@ -165,16 +163,15 @@ def evaluate(nets: dict, samples, d1_mode: str = "or", flow_valid: str = "all",
                 rec = nets["gen_a2b"].translate(
                     nets["gen_b2a"].translate(left)).data
 
-            fmask = None if flow_valid == "all" else s.occlusion
             sums["epe_disp"] += epe(pred_d, s.disparity)
             sums["d1_all"] += threshold_error_rate(pred_d, s.disparity, 3.0, 0.05,
                                                    mode=d1_mode)
             sums["gt2px"] += threshold_error_rate(pred_d, s.disparity, 2.0)
             sums["gt4px"] += threshold_error_rate(pred_d, s.disparity, 4.0)
             sums["gt5px"] += threshold_error_rate(pred_d, s.disparity, 5.0)
-            sums["epe_flow"] += epe(pred_f, s.flow, valid=fmask)
+            sums["epe_flow"] += epe(pred_f, s.flow)
             sums["f1_all"] += threshold_error_rate(pred_f, s.flow, 3.0, 0.05,
-                                                   valid=fmask, mode=d1_mode)
+                                                   mode=d1_mode)
             sums["psnr"] += psnr(rec, s.left)
             sums["ssim"] += ssim_metric(rec, s.left)
             if not oracle:

@@ -202,15 +202,20 @@ def _lookup_ids(ids, qx, qy):
     return ok, ref
 
 
-def render_scene(seed: int, width: int = 128, height: int = 64, max_disp: int = 16,
-                 max_flow: int = 8, num_layers: int | None = None):
-    """Generate one synthetic tuple plus its visibility diagnostics."""
+def check_scene_params(width: int, height: int, max_disp: int, max_flow: int) -> None:
+    """Raise ConfigError unless scenes of these extents and ranges can be made."""
     if width < 8 or height < 8 or width % 4 or height % 4:
         raise ConfigError(f"extents must be >= 8 and divisible by 4, got {width}x{height}")
     # below these, the per-layer disparity and flow ranges in _sample_layers can be empty
     if max_disp < 2 or max_flow < 1:
         raise ConfigError(f"need max_disp >= 2 and max_flow >= 1, "
                           f"got {max_disp} and {max_flow}")
+
+
+def render_scene(seed: int, width: int = 128, height: int = 64, max_disp: int = 16,
+                 max_flow: int = 8, num_layers: int | None = None):
+    """Generate one synthetic tuple plus its visibility diagnostics."""
+    check_scene_params(width, height, max_disp, max_flow)
     rng = np.random.default_rng(np.random.PCG64(seed))
     layers = _sample_layers(rng, width, height, max_disp, max_flow, num_layers)
     ys, xs = np.meshgrid(np.arange(height, dtype=np.float64),

@@ -26,7 +26,7 @@ from .dataio import CHECKPOINT_MAGIC, Reader, pack_tensor
 from .errors import ConfigError, FormatError, UsageError
 from .networks import Discriminator, Extractor, FlowNet, Generator, StereoNet
 from .scenegen import read_dataset, split_domains
-from .warping import WarpField, multiscale_warp_loss
+from .warping import multiscale_warp_loss
 
 CHECKPOINT_VERSION = 1
 RUNNING_DECAY = np.float32(0.98)
@@ -241,8 +241,8 @@ def make_batch(samples, indices):
         "next_left": _stack(chosen, "next_left"),
     }
     if chosen[0].disparity is not None:
-        batch["disparity"] = WarpField("disparity", _stack(chosen, "disparity"))
-        batch["flow"] = WarpField("flow", _stack(chosen, "flow"))
+        batch["disparity"] = _stack(chosen, "disparity")
+        batch["flow"] = _stack(chosen, "flow")
         batch["occlusion"] = _stack(chosen, "occlusion")
     return batch
 
@@ -363,11 +363,11 @@ def task_step(state: TrainState, syn: dict, real: dict | None) -> dict:
             _, by_r = nets["gen_b2a"].forward(y_r, need_output=False)
             _, by_t1 = nets["gen_b2a"].forward(y_t1, need_output=False)
         if w.lambda_disp_warp_real > 0.0:
-            pred_d = WarpField("disparity", nets["stereo"].forward(y_l, y_r)[-1])
+            pred_d = nets["stereo"].forward(y_l, y_r)[-1]
             disp_warp = (multiscale_warp_loss(by_l, by_r, pred_d, sign=-1)
                          + multiscale_warp_loss(by_r, by_l, pred_d, sign=1))
         if w.lambda_flow_warp_real > 0.0:
-            pred_f = WarpField("flow", nets["flow"].forward(y_l, y_t1)[-1])
+            pred_f = nets["flow"].forward(y_l, y_t1)[-1]
             flow_warp = (multiscale_warp_loss(by_l, by_t1, pred_f, sign=-1)
                          + multiscale_warp_loss(by_t1, by_l, pred_f, sign=1))
 

@@ -1,18 +1,16 @@
-"""Differentiable warping along disparity and flow fields, and the feature
-warping losses built on top of the network taps.
+"""Differentiable bidirectional warping along displacement fields, and the
+feature warping losses built on top of the network taps.
 
-Coordinate conventions:
-  - disparity is one positive channel; warping with sign=+1 samples the source
-    at (x - d, y), which moves right-view content onto the left view. sign=-1
-    samples at (x + d, y) and moves left-view content onto the right view.
-  - flow is two channels (u rightward, v downward); warping with sign=+1
-    samples at (x + u, y + v), which pulls frame t+1 back onto frame t.
+A displacement field is a plain (b, c, h, w) tensor in pixels, and its channel
+count says what it is. A flow has two channels (u rightward, v downward);
+warping with sign s samples the source at (x + s*u, y + s*v), so sign=+1 pulls
+frame t+1 back onto frame t. A disparity d has one channel and is warped as the
+flow (-d, 0): sign=+1 moves right-view content onto the left view and sign=-1
+moves left-view content onto the right view.
 Out-of-bounds taps read as zero and carry no gradient.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,82 +19,38 @@ from .autograd import Tensor, concat
 from .errors import ShapeError, UsageError
 
 
-@dataclass
-class WarpField:
-    kind: str                   # "disparity" or "flow"
-    values: Tensor              # (b, 1, h, w) pixels, or (b, 2, h, w)
-    scale: int = 1              # denominator of the pyramid scale (1 = full)
-
-    def __post_init__(self):
-        channels = {"disparity": 1, "flow": 2}.get(self.kind)
-        if channels is None:
-            raise UsageError(f"unknown field kind {self.kind!r}")
-        if self.values.shape[1] != channels:
-            raise ShapeError(
-                f"{self.kind} field needs {channels} channel(s), got {self.values.shape}")
-
-
-def coord_grids(shape, dtype=np.float32):
-    """Constant X and Y pixel-coordinate tensors for a (b, c, h, w) shape."""
-    b, _, h, w = shape
-    ys, xs = np.meshgrid(np.arange(h, dtype=dtype), np.arange(w, dtype=dtype),
+def warp(src: Tensor, field: Tensor, sign: int = 1) -> Tensor:
+    """Bilinear sample of ``src`` at (x + sign * u, y + sign * v) along a flow
+    (u, v), or at (x - sign * d, y) along a disparity d."""
+    if field.shape[1] not in (1, 2):
+        raise ShapeError(f"a field has 1 (disparity) or 2 (flow) channels, got {field.shape}")
+    if field.shape[0] != src.shape[0] or field.shape[2:] != src.shape[2:]:
+        raise ShapeError(f"field {field.shape} not aligned with source {src.shape}")
+    if field.shape[1] == 1:
+        field = concat([field * -1.0, Tensor(np.zeros_like(field.data))], axis=1)
+    b, _, h, w = src.shape
+    ys, xs = np.meshgrid(np.arange(h, dtype=src.dtype), np.arange(w, dtype=src.dtype),
                          indexing="ij")
-    xt = Tensor(np.broadcast_to(xs, (b, 1, h, w)).copy())
-    yt = Tensor(np.broadcast_to(ys, (b, 1, h, w)).copy())
-    return xt, yt
+    pixels = Tensor(np.broadcast_to(np.stack([xs, ys]), (b, 2, h, w)))
+    return K.grid_sample(src, pixels + field * float(sign))
 
 
-def warp_by_disparity(src: Tensor, disp: WarpField, sign: int = 1) -> Tensor:
-    """Bilinear sample of ``src`` at (x - sign * d, y)."""
-    if disp.kind != "disparity":
-        raise UsageError(f"expected a disparity field, got {disp.kind}")
-    d = disp.values
-    if d.shape[0] != src.shape[0] or d.shape[2:] != src.shape[2:]:
-        raise ShapeError(f"field {d.shape} not aligned with source {src.shape}")
-    xt, yt = coord_grids(src.shape, dtype=src.data.dtype)
-    gx = xt + d * float(-sign)
-    grid = concat([gx, yt], axis=1)
-    return K.grid_sample(src, grid)
-
-
-def warp_by_flow(src: Tensor, flow: WarpField, sign: int = 1) -> Tensor:
-    """Bilinear sample of ``src`` at (x + sign * u, y + sign * v)."""
-    if flow.kind != "flow":
-        raise UsageError(f"expected a flow field, got {flow.kind}")
-    f = flow.values
-    if f.shape[0] != src.shape[0] or f.shape[2:] != src.shape[2:]:
-        raise ShapeError(f"field {f.shape} not aligned with source {src.shape}")
-    xt, yt = coord_grids(src.shape, dtype=src.data.dtype)
-    scaled = f * float(sign)
-    gx = xt + K.channel_slice(scaled, 0, 1)
-    gy = yt + K.channel_slice(scaled, 1, 2)
-    return K.grid_sample(src, concat([gx, gy], axis=1))
-
-
-def warp(src: Tensor, field: WarpField, sign: int = 1) -> Tensor:
-    if field.kind == "disparity":
-        return warp_by_disparity(src, field, sign)
-    return warp_by_flow(src, field, sign)
-
-
-def resize_field(field: WarpField, target_hw: tuple) -> WarpField:
+def resize_field(field: Tensor, target_hw: tuple) -> Tensor:
     """Bring a field to another pyramid level, rescaling its pixel values."""
-    h, w = field.values.shape[2], field.values.shape[3]
+    h, w = field.shape[2], field.shape[3]
     th, tw = target_hw
-    values = field.values
-    scale = field.scale
     while (h, w) != (th, tw):
         if h > th:
             if h % 2 or w % 2 or (h // 2) < th:
                 raise ShapeError(f"cannot resize field {h}x{w} to {th}x{tw}")
-            values = K.downsample2(values) * 0.5
-            h, w, scale = h // 2, w // 2, scale * 2
+            field = K.downsample2(field) * 0.5
+            h, w = h // 2, w // 2
         else:
             if h * 2 > th:
                 raise ShapeError(f"cannot resize field {h}x{w} to {th}x{tw}")
-            values = K.upsample2(values) * 2.0
-            h, w, scale = h * 2, w * 2, max(1, scale // 2)
-    return WarpField(field.kind, values, scale)
+            field = K.upsample2(field) * 2.0
+            h, w = h * 2, w * 2
+    return field
 
 
 def _masked_l1(diff_abs: Tensor, mask: Tensor | None) -> Tensor:
@@ -105,7 +59,7 @@ def _masked_l1(diff_abs: Tensor, mask: Tensor | None) -> Tensor:
     return (diff_abs * mask).mean() / (mask.mean() + 1e-8)
 
 
-def multiscale_warp_loss(taps_src, taps_dst, field: WarpField, sign: int = 1,
+def multiscale_warp_loss(taps_src, taps_dst, field: Tensor, sign: int = 1,
                          mask: Tensor | None = None) -> Tensor:
     """Mean over taps of the L1 gap between warped source and target features.
 
@@ -135,35 +89,25 @@ def multiscale_warp_loss(taps_src, taps_dst, field: WarpField, sign: int = 1,
     return total * (1.0 / len(taps_src))
 
 
-def stagewise_warp_loss(stages, target_field: WarpField, gamma: float = 0.9,
-                        mask: Tensor | None = None, beta: float = 1.0) -> Tensor:
+def stagewise_warp_loss(stages, target: Tensor, gamma: float = 0.9,
+                        mask: Tensor | None = None) -> Tensor:
     """Smooth-L1 between each refinement stage and the target field.
 
-    Stages run coarse to fine in native-scale pixel units; each is upsampled to
-    the target's resolution with its values multiplied by the spatial ratio.
+    Stages run coarse to fine in native-scale pixel units; each is resized to
+    the target's resolution with its values rescaled by the spatial ratio.
     Stage s of S carries weight gamma^(S-1-s), so the finest stage weighs 1.
     """
     if not stages:
         raise UsageError("empty stage list")
     if not 0.0 < gamma <= 1.0:
         raise UsageError(f"gamma must be in (0, 1], got {gamma}")
-    tgt = target_field.values
-    th, tw = tgt.shape[2], tgt.shape[3]
     n = len(stages)
     total = None
     for s, stage in enumerate(stages):
-        if stage.shape[1] != tgt.shape[1]:
-            raise ShapeError(f"stage has {stage.shape[1]} channels, target {tgt.shape[1]}")
-        up = stage
-        ratio = 1.0
-        while (up.shape[2], up.shape[3]) != (th, tw):
-            if up.shape[2] * 2 > th:
-                raise ShapeError(f"stage {stage.shape} does not fit target {tgt.shape}")
-            up = K.upsample2(up)
-            ratio *= 2.0
-        if ratio != 1.0:
-            up = up * ratio
-        term = _masked_l1(K.smooth_l1(up, tgt, beta=beta), mask)
+        if stage.shape[1] != target.shape[1]:
+            raise ShapeError(f"stage has {stage.shape[1]} channels, target {target.shape[1]}")
+        up = resize_field(stage, (target.shape[2], target.shape[3]))
+        term = _masked_l1(K.smooth_l1(up, target), mask)
         weighted = term * (gamma ** (n - 1 - s))
         total = weighted if total is None else total + weighted
     return total

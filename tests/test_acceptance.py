@@ -20,8 +20,7 @@ from warpadapt.checks import run_suite
 from warpadapt.scenegen import (apply_domain_shift, generate_scene, read_dataset,
                                 render_scene, shift_preset, split_domains,
                                 write_dataset)
-from warpadapt.warping import (WarpField, multiscale_warp_loss, resize_field,
-                               warp_by_disparity, warp_by_flow)
+from warpadapt.warping import multiscale_warp_loss, resize_field, warp
 
 from test_kernels import ssim_bruteforce
 from test_metrics import epe_bruteforce, psnr_bruteforce, rate_bruteforce
@@ -65,11 +64,11 @@ class TestCriterion2:
             h = 4 * int(r.integers(2, 6))
             w = 4 * int(r.integers(3, 8))
             img = Tensor(r.uniform(0, 1, (1, 3, h, w)).astype(np.float32))
-            zero_d = WarpField("disparity", Tensor(np.zeros((1, 1, h, w), np.float32)))
-            zero_f = WarpField("flow", Tensor(np.zeros((1, 2, h, w), np.float32)))
-            if not np.array_equal(warp_by_disparity(img, zero_d).data, img.data):
+            zero_d = Tensor(np.zeros((1, 1, h, w), np.float32))
+            zero_f = Tensor(np.zeros((1, 2, h, w), np.float32))
+            if not np.array_equal(warp(img, zero_d).data, img.data):
                 id_fail += 1
-            if not np.array_equal(warp_by_flow(img, zero_f).data, img.data):
+            if not np.array_equal(warp(img, zero_f).data, img.data):
                 id_fail += 1
 
         for seed in range(100):
@@ -86,9 +85,9 @@ class TestCriterion2:
             # so the only interpolation under test is the warp's own
             base = _analytic_frame(r, h, w, 0.0, 0.0)
             nxt = _analytic_frame(r, h, w, u, v, reuse=base[1])
-            field = WarpField("flow", Tensor(np.stack(
-                [np.full((h, w), u), np.full((h, w), v)]).reshape(1, 2, h, w).astype(np.float32)))
-            back = warp_by_flow(Tensor(nxt[0]), field, sign=1)
+            field = Tensor(np.stack(
+                [np.full((h, w), u), np.full((h, w), v)]).reshape(1, 2, h, w).astype(np.float32))
+            back = warp(Tensor(nxt[0]), field, sign=1)
             mu = int(math.ceil(u))
             mv = int(math.ceil(v))
             interior = (slice(None), slice(None), slice(mv, h - mv - 1 or None),
@@ -102,10 +101,9 @@ class TestCriterion2:
             r = np.random.default_rng(20_000 + seed)
             f = K.gaussian_blur(Tensor(r.uniform(0, 3, (1, 1, 16, 24)).astype(np.float32)),
                                 7, 2.0)
-            field = WarpField("disparity", Tensor(f.data))
-            full = warp_by_disparity(img, field)
-            half = warp_by_disparity(Tensor(K.downsample2(img).data),
-                                     resize_field(field, (8, 12)))
+            field = Tensor(f.data)
+            full = warp(img, field)
+            half = warp(Tensor(K.downsample2(img).data), resize_field(field, (8, 12)))
             got = K.downsample2(full).data[:, :, 1:-1, 2:-2]
             want = half.data[:, :, 1:-1, 2:-2]
             if np.abs(got - want).mean() >= 1e-2:
@@ -229,9 +227,9 @@ class TestCriterion4:
         checks.append(L.mode_seeking_loss(img, img, img, img).item() == 0.0)
         taps = [Tensor(rng.uniform(-1, 1, (1, 2, 16, 16))),
                 Tensor(rng.uniform(-1, 1, (1, 4, 8, 8)))]
-        zf = WarpField("disparity", Tensor(np.zeros((1, 1, 16, 16))))
+        zf = Tensor(np.zeros((1, 1, 16, 16)))
         checks.append(multiscale_warp_loss(taps, taps, zf).item() == 0.0)
-        gt = WarpField("disparity", Tensor(np.full((1, 1, 16, 16), 3.0)))
+        gt = Tensor(np.full((1, 1, 16, 16), 3.0))
         stages = [Tensor(np.full((1, 1, 8, 8), 1.5)), Tensor(np.full((1, 1, 16, 16), 3.0))]
         checks.append(L.supervised_disp_loss(stages, gt).item() == 0.0)
 

@@ -39,9 +39,11 @@ class TestGenerate:
         assert len(syn) == 2 and len(real) == 2
 
     @pytest.mark.parametrize("flags", [["--max-disp", "0"], ["--max-flow", "-3"],
-                                       ["--count", "-1"], ["--seed", "-1"]],
+                                       ["--count", "-1"], ["--seed", "-1"],
+                                       ["--count", "0", "--max-disp", "0"],
+                                       ["--count", "0", "--width", "30"]],
                              ids=["max_disp_0", "max_flow_negative", "count_negative",
-                                  "seed_negative"])
+                                  "seed_negative", "count_0_max_disp_0", "count_0_width_30"])
     def test_bad_value_exits_2(self, tmp_path, capsys, flags):
         out = tmp_path / "d"
         assert run(["generate", "--out", str(out), "--count", "1", "--width", "32",

@@ -8,7 +8,6 @@ from warpadapt import losses as L
 from warpadapt.autograd import Tensor, backward
 from warpadapt.errors import UsageError
 from warpadapt.networks import Extractor, Generator, StereoNet
-from warpadapt.warping import WarpField
 
 from test_kernels import ssim_bruteforce
 
@@ -143,18 +142,18 @@ class TestModeSeeking:
 
 class TestSupervised:
     def test_exact_prediction_zero(self):
-        gt = WarpField("disparity", const((1, 1, 8, 8), 3.0))
+        gt = const((1, 1, 8, 8), 3.0)
         stages = [const((1, 1, 4, 4), 1.5), const((1, 1, 8, 8), 3.0)]
         assert L.supervised_disp_loss(stages, gt).item() == 0.0
 
     def test_unit_error_weight_sum(self):
-        gt = WarpField("disparity", const((1, 1, 8, 8), 2.0))
+        gt = const((1, 1, 8, 8), 2.0)
         stages = [const((1, 1, 2, 2), 0.75), const((1, 1, 4, 4), 1.5), const((1, 1, 8, 8), 3.0)]
         loss = L.supervised_disp_loss(stages, gt, gamma=0.9)
         assert loss.item() == pytest.approx(2.71 * 0.5, rel=1e-6)
 
     def test_flow_mirrors_disparity_with_mask(self):
-        gt = WarpField("flow", const((1, 2, 8, 8), 1.0))
+        gt = const((1, 2, 8, 8), 1.0)
         stages = [const((1, 2, 8, 8), 2.0)]
         mask = Tensor(np.ones((1, 1, 8, 8)))
         loss = L.supervised_flow_loss(stages, gt, mask)
@@ -171,7 +170,7 @@ class TestSupervised:
         rng = np.random.default_rng(32)
         left = Tensor(rng.uniform(0, 1, (1, 3, 16, 32)).astype(np.float32))
         right = Tensor(rng.uniform(0, 1, (1, 3, 16, 32)).astype(np.float32))
-        gt = WarpField("disparity", Tensor(np.ones((1, 1, 16, 32), dtype=np.float32)))
+        gt = Tensor(np.ones((1, 1, 16, 32), dtype=np.float32))
         stages = stereo.forward(gen.translate(left), gen.translate(right))
         loss = L.supervised_disp_loss(stages, gt)
         backward(loss)

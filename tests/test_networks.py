@@ -141,7 +141,7 @@ class TestExtractor:
 class TestGradFlow:
     def test_every_unfrozen_net_receives_gradient(self):
         from warpadapt import losses as L
-        from warpadapt.warping import WarpField, multiscale_warp_loss
+        from warpadapt.warping import multiscale_warp_loss
 
         gen = Generator(seed=30, channels_base=4)
         disc = Discriminator(seed=31, channels_base=4)
@@ -153,8 +153,8 @@ class TestGradFlow:
         fake, taps = gen.forward(left)
         gen_term, _ = L.adversarial_loss(disc.forward(left).detach(), disc.forward(fake))
         stages_d = stereo.forward(left, right)
-        pred = WarpField("disparity", stages_d[-1])
-        warp_term = multiscale_warp_loss(taps, [t.detach() for t in taps], pred, sign=-1)
+        warp_term = multiscale_warp_loss(taps, [t.detach() for t in taps], stages_d[-1],
+                                         sign=-1)
         stages_f = flow.forward(left, right)
         flow_term = (stages_f[-1] * stages_f[-1]).mean()
         backward(gen_term + warp_term + flow_term)

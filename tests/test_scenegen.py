@@ -8,21 +8,19 @@ from warpadapt.scenegen import (DomainShift, SceneSample, apply_domain_shift,
                                 generate_scene, read_dataset, render_scene,
                                 sample_from_bytes, sample_to_bytes, shift_preset,
                                 split_domains, write_dataset)
-from warpadapt.warping import WarpField, warp_by_disparity, warp_by_flow
+from warpadapt.warping import warp
 
 
 def stereo_error(sample, valid):
     """Mean |warp(right, disp, +1) - left| over stereo-visible pixels."""
-    warped = warp_by_disparity(Tensor(sample.right),
-                               WarpField("disparity", Tensor(sample.disparity)), sign=1)
+    warped = warp(Tensor(sample.right), Tensor(sample.disparity), sign=1)
     err = np.abs(warped.data - sample.left).mean(axis=1, keepdims=True)
     m = valid > 0.5
     return err[m].mean()
 
 
 def flow_error(sample):
-    warped = warp_by_flow(Tensor(sample.next_left), WarpField("flow", Tensor(sample.flow)),
-                          sign=1)
+    warped = warp(Tensor(sample.next_left), Tensor(sample.flow), sign=1)
     err = np.abs(warped.data - sample.left).mean(axis=1, keepdims=True)
     m = sample.occlusion > 0.5
     return err[m].mean()

@@ -56,11 +56,10 @@ class TestOverfit:
         from warpadapt.autograd import backward
         from warpadapt.losses import supervised_disp_loss
         from warpadapt.networks import StereoNet
-        from warpadapt.warping import WarpField
 
         rng = np.random.default_rng(0)
         img = Tensor(rng.uniform(0, 1, (1, 3, 32, 64)).astype(np.float32))
-        gt = WarpField("disparity", Tensor(np.zeros((1, 1, 32, 64), dtype=np.float32)))
+        gt = Tensor(np.zeros((1, 1, 32, 64), dtype=np.float32))
         net = StereoNet(seed=1, max_disp=8, channels_base=4)
         opt = T.Adam(net.parameters(), lr=1e-3, betas=(0.9, 0.999))
         for _ in range(200):
@@ -77,11 +76,10 @@ class TestOverfit:
         from warpadapt.autograd import backward
         from warpadapt.losses import supervised_flow_loss
         from warpadapt.networks import FlowNet
-        from warpadapt.warping import WarpField
 
         rng = np.random.default_rng(2)
         img = Tensor(rng.uniform(0, 1, (1, 3, 32, 64)).astype(np.float32))
-        gt = WarpField("flow", Tensor(np.zeros((1, 2, 32, 64), dtype=np.float32)))
+        gt = Tensor(np.zeros((1, 2, 32, 64), dtype=np.float32))
         net = FlowNet(seed=3, max_flow=4, channels_base=4)
         opt = T.Adam(net.parameters(), lr=1e-3, betas=(0.9, 0.999))
         for _ in range(200):

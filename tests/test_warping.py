@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from warpadapt import kernels as K
-from warpadapt.autograd import Tensor, grad_check
+from warpadapt.autograd import Tensor, backward, grad_check
 from warpadapt.errors import ShapeError, UsageError
-from warpadapt.warping import (WarpField, multiscale_warp_loss, resize_field,
-                               stagewise_warp_loss, warp_by_disparity, warp_by_flow)
+from warpadapt.warping import multiscale_warp_loss, resize_field, stagewise_warp_loss, warp
 
 
 def rand_img(shape, seed=0, smooth=False):
@@ -17,31 +16,32 @@ def rand_img(shape, seed=0, smooth=False):
     return Tensor(t.data)
 
 
-def const_field(kind, shape_hw, values, batch=1):
+def const_field(shape_hw, values, batch=1):
+    """One channel per value: a scalar makes a disparity, a pair (u, v) a flow."""
     h, w = shape_hw
-    c = 1 if kind == "disparity" else 2
-    data = np.zeros((batch, c, h, w), dtype=np.float32)
-    for i, v in enumerate(np.atleast_1d(values)):
+    values = np.atleast_1d(values)
+    data = np.zeros((batch, values.size, h, w), dtype=np.float32)
+    for i, v in enumerate(values):
         data[:, i] = v
-    return WarpField(kind, Tensor(data))
+    return Tensor(data)
 
 
 class TestWarpDisparity:
     def test_zero_field_identity(self):
         src = rand_img((2, 3, 6, 10), seed=1)
-        out = warp_by_disparity(src, const_field("disparity", (6, 10), 0.0, batch=2))
+        out = warp(src, const_field((6, 10), 0.0, batch=2))
         assert np.array_equal(out.data, src.data)
 
     def test_integer_shift_recovers_original(self):
         orig = rand_img((1, 2, 6, 16), seed=2)
         src = np.zeros_like(orig.data)
         src[:, :, :, :-3] = orig.data[:, :, :, 3:]
-        out = warp_by_disparity(Tensor(src), const_field("disparity", (6, 16), 3.0), sign=1)
+        out = warp(Tensor(src), const_field((6, 16), 3.0), sign=1)
         assert np.allclose(out.data[:, :, :, 3:], orig.data[:, :, :, 3:], atol=1e-6)
 
     def test_fully_out_of_bounds(self):
         src = rand_img((1, 1, 4, 8), seed=3)
-        out = warp_by_disparity(src, const_field("disparity", (4, 8), 13.0))
+        out = warp(src, const_field((4, 8), 13.0))
         assert np.all(out.data == 0)
 
     def test_sign_minus_moves_left_to_right(self):
@@ -49,29 +49,49 @@ class TestWarpDisparity:
         # right view shows content shifted left: right(x) = left(x + d)
         right = np.zeros_like(orig.data)
         right[:, :, :, :-2] = orig.data[:, :, :, 2:]
-        out = warp_by_disparity(orig, const_field("disparity", (4, 16), 2.0), sign=-1)
+        out = warp(orig, const_field((4, 16), 2.0), sign=-1)
         assert np.allclose(out.data[:, :, :, :-2], right[:, :, :, :-2], atol=1e-6)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            warp_by_disparity(rand_img((1, 1, 4, 8)), const_field("disparity", (4, 6), 0.0))
+            warp(rand_img((1, 1, 4, 8)), const_field((4, 6), 0.0))
+        with pytest.raises(ShapeError):
+            warp(rand_img((1, 1, 4, 8)), const_field((4, 8), 0.0, batch=2))
 
-    def test_wrong_kind(self):
-        with pytest.raises(UsageError):
-            warp_by_disparity(rand_img((1, 1, 4, 8)), const_field("flow", (4, 8), (0, 0)))
+    def test_three_channels_rejected(self):
+        with pytest.raises(ShapeError, match="channels"):
+            warp(rand_img((1, 1, 4, 8)), const_field((4, 8), (0.0, 0.0, 0.0)))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_matches_flow_minus_d_zero(self, sign):
+        rng = np.random.default_rng(14)
+        d = rng.uniform(0.0, 3.0, (2, 1, 6, 10)).astype(np.float32)
+        flow = np.concatenate([-d, np.zeros_like(d)], axis=1)
+        runs = []
+        for values in (d, flow):
+            src = Tensor(rand_img((2, 3, 6, 10), seed=15).data, requires_grad=True)
+            field = Tensor(values, requires_grad=True)
+            out = warp(src, field, sign)
+            backward((out * out).sum())
+            runs.append((out.data, src.grad, field.grad))
+        (out_d, src_d, field_d), (out_f, src_f, field_f) = runs
+        assert np.array_equal(out_d, out_f)
+        assert np.array_equal(src_d, src_f)
+        assert np.array_equal(field_d, -field_f[:, :1])
+        assert np.abs(field_d).sum() > 0
 
 
 class TestWarpFlow:
     def test_zero_field_identity(self):
         src = rand_img((1, 3, 6, 8), seed=5)
-        out = warp_by_flow(src, const_field("flow", (6, 8), (0.0, 0.0)))
+        out = warp(src, const_field((6, 8), (0.0, 0.0)))
         assert np.array_equal(out.data, src.data)
 
     def test_translation_interior_matches(self):
         left = rand_img((1, 2, 8, 12), seed=6)
         nxt = np.zeros_like(left.data)
         nxt[:, :, 1:, 2:] = left.data[:, :, :-1, :-2]  # content moved by (u=2, v=1)
-        out = warp_by_flow(Tensor(nxt), const_field("flow", (8, 12), (2.0, 1.0)), sign=1)
+        out = warp(Tensor(nxt), const_field((8, 12), (2.0, 1.0)), sign=1)
         assert np.allclose(out.data[:, :, :-1, :-2], left.data[:, :, :-1, :-2], atol=1e-6)
 
     def test_gradient_wrt_flow(self):
@@ -80,23 +100,22 @@ class TestWarpFlow:
         fvals = rng.integers(-2, 2, (1, 2, 6, 8)) + rng.uniform(0.25, 0.75, (1, 2, 6, 8))
         flow = Tensor(fvals)
         err = grad_check(
-            lambda t: K.square(warp_by_flow(src, WarpField("flow", t))).mean(), flow)
+            lambda t: K.square(warp(src, t)).mean(), flow)
         assert err < 1e-3
 
 
 class TestFieldResize:
     def test_downscale_halves_values(self):
-        f = const_field("disparity", (8, 12), 4.0)
+        f = const_field((8, 12), 4.0)
         down = resize_field(f, (4, 6))
-        assert down.values.shape == (1, 1, 4, 6)
-        assert np.allclose(down.values.data, 2.0)
-        assert down.scale == 2
+        assert down.shape == (1, 1, 4, 6)
+        assert np.allclose(down.data, 2.0)
 
     def test_round_trip_constant(self):
-        f = const_field("flow", (8, 8), (3.0, -1.0))
+        f = const_field((8, 8), (3.0, -1.0))
         back = resize_field(resize_field(f, (4, 4)), (8, 8))
-        assert np.allclose(back.values.data[:, 0], 3.0)
-        assert np.allclose(back.values.data[:, 1], -1.0)
+        assert np.allclose(back.data[:, 0], 3.0)
+        assert np.allclose(back.data[:, 1], -1.0)
 
     def test_halfscale_warp_matches_downsampled_warp(self):
         for seed in range(10):
@@ -104,11 +123,11 @@ class TestFieldResize:
             rng = np.random.default_rng(90 + seed)
             fvals = K.gaussian_blur(
                 Tensor(rng.uniform(0, 3, (1, 1, 16, 24)).astype(np.float32)), 7, 2.0)
-            field = WarpField("disparity", Tensor(fvals.data))
-            full = warp_by_disparity(img, field)
+            field = Tensor(fvals.data)
+            full = warp(img, field)
             down_of_full = K.downsample2(full)
             half_img = K.downsample2(img)
-            half = warp_by_disparity(Tensor(half_img.data), resize_field(field, (8, 12)))
+            half = warp(Tensor(half_img.data), resize_field(field, (8, 12)))
             interior = (slice(None), slice(None), slice(1, -1), slice(2, -2))
             err = np.abs(down_of_full.data[interior] - half.data[interior]).mean()
             assert err < 1e-2
@@ -117,7 +136,7 @@ class TestFieldResize:
 class TestMultiscaleWarpLoss:
     def test_identical_taps_zero_field(self):
         taps = [rand_img((1, 2, 8, 8), seed=8), rand_img((1, 4, 4, 4), seed=9)]
-        field = const_field("disparity", (8, 8), 0.0)
+        field = const_field((8, 8), 0.0)
         loss = multiscale_warp_loss(taps, taps, field)
         assert loss.item() == 0.0
 
@@ -141,13 +160,13 @@ class TestMultiscaleWarpLoss:
                 want[y, x] = acc
         expected = np.abs(want - dst[0, 0]).mean()
         loss = multiscale_warp_loss([Tensor(src)], [Tensor(dst)],
-                                    const_field("disparity", (4, 4), d))
+                                    const_field((4, 4), d))
         assert loss.item() == pytest.approx(expected, rel=1e-6)
 
     def test_zero_mask_annihilates(self):
         taps_src = [rand_img((1, 2, 8, 8), seed=11)]
         taps_dst = [rand_img((1, 2, 8, 8), seed=12)]
-        field = const_field("disparity", (8, 8), 1.0)
+        field = const_field((8, 8), 1.0)
         mask = Tensor(np.zeros((1, 1, 8, 8), dtype=np.float32))
         loss = multiscale_warp_loss(taps_src, taps_dst, field, mask=mask)
         assert loss.item() == 0.0
@@ -155,27 +174,27 @@ class TestMultiscaleWarpLoss:
     def test_length_mismatch(self):
         taps = [rand_img((1, 2, 8, 8))]
         with pytest.raises(UsageError):
-            multiscale_warp_loss(taps, taps * 2, const_field("disparity", (8, 8), 0.0))
+            multiscale_warp_loss(taps, taps * 2, const_field((8, 8), 0.0))
 
 
 class TestStagewiseWarpLoss:
     def test_single_stage_is_plain_smooth_l1(self):
         rng = np.random.default_rng(13)
         stage = Tensor(rng.uniform(0, 4, (1, 1, 8, 8)))
-        target = WarpField("disparity", Tensor(rng.uniform(0, 4, (1, 1, 8, 8))))
+        target = Tensor(rng.uniform(0, 4, (1, 1, 8, 8)))
         loss = stagewise_warp_loss([stage], target, gamma=0.9)
-        want = K.smooth_l1(stage, target.values).mean().item()
+        want = K.smooth_l1(stage, target).mean().item()
         assert loss.item() == pytest.approx(want, rel=1e-6)
 
     def test_exact_stages_give_zero(self):
-        target = const_field("disparity", (8, 8), 4.0)
+        target = const_field((8, 8), 4.0)
         stages = [Tensor(np.full((1, 1, 2, 2), 1.0, dtype=np.float32)),
                   Tensor(np.full((1, 1, 4, 4), 2.0, dtype=np.float32)),
                   Tensor(np.full((1, 1, 8, 8), 4.0, dtype=np.float32))]
         assert stagewise_warp_loss(stages, target, gamma=0.9).item() == 0.0
 
     def test_unit_error_weight_sum(self):
-        target = const_field("disparity", (8, 8), 2.0)
+        target = const_field((8, 8), 2.0)
         stages = [Tensor(np.full((1, 1, 2, 2), 0.75, dtype=np.float32)),   # 3 -> err 1
                   Tensor(np.full((1, 1, 4, 4), 1.5, dtype=np.float32)),    # 3 -> err 1
                   Tensor(np.full((1, 1, 8, 8), 3.0, dtype=np.float32))]    # err 1
@@ -184,4 +203,4 @@ class TestStagewiseWarpLoss:
 
     def test_empty_stages(self):
         with pytest.raises(UsageError):
-            stagewise_warp_loss([], const_field("disparity", (4, 4), 0.0))
+            stagewise_warp_loss([], const_field((4, 4), 0.0))
