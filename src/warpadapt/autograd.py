@@ -221,6 +221,23 @@ def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     return result(data, tuple(tensors), backward)
 
 
+def split(t: Tensor, parts: int) -> list[Tensor]:
+    """Cut ``t`` into ``parts`` equal pieces along the batch axis; undoes ``concat(axis=0)``."""
+    if parts < 1 or t.shape[0] % parts:
+        raise ShapeError(f"cannot split batch {t.shape[0]} into {parts} equal parts")
+    n = t.shape[0] // parts
+
+    def piece(sl):
+        def backward(g):
+            full = np.zeros(t.shape, dtype=g.dtype)
+            full[sl] = g
+            return (full,)
+
+        return result(t.data[sl], (t,), backward)
+
+    return [piece(slice(k * n, (k + 1) * n)) for k in range(parts)]
+
+
 # -- backward pass ------------------------------------------------------------
 
 def topo_order(root: Tensor) -> list:

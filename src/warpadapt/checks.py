@@ -14,7 +14,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import kernels as K
-from .autograd import Tensor, concat, grad_check
+from .autograd import Tensor, concat, grad_check, split
 
 SMOOTH_TOL = 1e-4
 KINKED_TOL = 1e-3
@@ -81,6 +81,8 @@ def kernel_cases(seed: int = 0) -> Iterator[tuple[str, Callable, Tensor, float]]
     yield "concat", lambda t: K.square(concat([t, b], axis=1)).mean(), a, SMOOTH_TOL
 
     x = _rand(rng, (2, 3, 6, 8))
+    yield ("split", lambda t: (K.square(split(t, 2)[0]) + split(t, 2)[1] * 3.0).mean(),
+           x, SMOOTH_TOL)
     w1 = _rand(rng, (4, 3, 3, 3), lo=-0.7, hi=0.7)
     bias = _rand(rng, (1, 4, 1, 1))
     for s in (1, 2):

@@ -4,7 +4,8 @@ Each kernel pairs a forward rule with a matched backward rule; composites
 (SSIM, cosine map) are assembled from primitives and differentiate through
 the graph. conv2d and conv_transpose2d share one correlate core (one GEMM per
 kernel tap) and are each other's adjoint: the forward pass of one is the input
-gradient of the other.
+gradient of the other. At stride 1 every tap reads a unit-stride window of the
+padded input viewed as one flat matrix, so no tap copies its input.
 """
 
 from __future__ import annotations
@@ -92,8 +93,14 @@ def smooth_l1(a: Tensor, b: Tensor, beta: float = 1.0) -> Tensor:
 # -- convolutions -------------------------------------------------------------
 #
 # The correlate core works on contiguous, zero-padded, channel-major (c, b, H, W)
-# copies, so each kernel tap is one GEMM of that tap's weight matrix with a
-# strided slice of the copy, reshaped to (c, b * ho * wo).
+# arrays and does one GEMM per kernel tap, summed in a contiguous accumulator.
+# At stride 1 the array is read as one flat (c, b * H * W) matrix: tap (i, j)
+# is the window at offset i * W + j, a unit-stride view that BLAS reads without
+# a copy. The sum then lands on the input's (H, W) grid, valid in its top-left
+# ho x wo block, and is cropped once; a window crossing a row or sample
+# boundary only feeds positions outside that block. The stride-1 adjoint is the
+# full correlation with the flipped kernel. At stride 2 each tap is a strided
+# slice, which its reshape copies.
 
 def _channel_major(v: np.ndarray, pad: int = 0) -> np.ndarray:
     """(b, c, h, w) -> contiguous, zero-padded (c, b, h + 2 pad, w + 2 pad)."""
@@ -108,12 +115,26 @@ def _batch_major(v: np.ndarray, bias: np.ndarray) -> np.ndarray:
     return np.add(v.transpose(1, 0, 2, 3), bias, order="C")
 
 
-def _taps(kh: int, kw: int, ho: int, wo: int, stride: int):
-    """Per kernel tap (i, j): the slice of a padded (c, b, H, W) array it reads."""
+def _taps(a: np.ndarray, kh: int, kw: int, stride: int):
+    """Per kernel tap (i, j): the view of a padded (c, b, H, W) array it reads.
+
+    At stride 1 that is a (c, n) window of the flat matrix; otherwise a strided
+    (c, b, ho, wo) slice.
+    """
+    c, bs, hp, wp = a.shape
+    if stride == 1:
+        flat = a.reshape(c, -1)
+        span = flat.shape[1] - (kh - 1) * wp - (kw - 1)
+        for i in range(kh):
+            for j in range(kw):
+                yield i, j, flat[:, i * wp + j:i * wp + j + span]
+        return
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
     for i in range(kh):
         for j in range(kw):
-            yield i, j, (slice(None), slice(None), slice(i, i + stride * (ho - 1) + 1, stride),
-                         slice(j, j + stride * (wo - 1) + 1, stride))
+            yield i, j, a[:, :, i:i + stride * (ho - 1) + 1:stride,
+                          j:j + stride * (wo - 1) + 1:stride]
 
 
 def _correlate(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
@@ -122,10 +143,14 @@ def _correlate(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     cout, _, kh, kw = w.shape
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    out = np.zeros((cout, bs * ho * wo), dtype=np.result_type(xp, w))
-    for i, j, tap in _taps(kh, kw, ho, wo, stride):
-        out += w[:, :, i, j] @ xp[tap].reshape(cin, -1)
-    return out.reshape(cout, bs, ho, wo)
+    out = 0
+    for i, j, tap in _taps(xp, kh, kw, stride):
+        out += w[:, :, i, j] @ tap.reshape(cin, -1)
+    if stride > 1:
+        return out.reshape(cout, bs, ho, wo)
+    grid = np.empty((cout, bs * hp * wp), dtype=out.dtype)
+    grid[:, :out.shape[1]] = out
+    return grid.reshape(cout, bs, hp, wp)[:, :, :ho, :wo]
 
 
 def _correlate_adjoint(g: np.ndarray, w: np.ndarray, stride: int,
@@ -133,10 +158,15 @@ def _correlate_adjoint(g: np.ndarray, w: np.ndarray, stride: int,
     """Adjoint of ``_correlate`` in its input: (cout, b, ho, wo) -> (cin, b, hp, wp)."""
     cout, bs, ho, wo = g.shape
     _, cin, kh, kw = w.shape
+    if stride == 1:
+        # the full correlation of g with the flipped kernel
+        gp = np.zeros((cout, bs, hp + kh - 1, wp + kw - 1), dtype=g.dtype)
+        gp[:, :, kh - 1:kh - 1 + ho, kw - 1:kw - 1 + wo] = g
+        return _correlate(gp, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1)
     gm = g.reshape(cout, -1)
     out = np.zeros((cin, bs, hp, wp), dtype=np.result_type(g, w))
-    for i, j, tap in _taps(kh, kw, ho, wo, stride):
-        out[tap] += (w[:, :, i, j].T @ gm).reshape(cin, bs, ho, wo)
+    for i, j, tap in _taps(out, kh, kw, stride):
+        tap += (w[:, :, i, j].T @ gm).reshape(tap.shape)
     return out
 
 
@@ -144,10 +174,17 @@ def _correlate_wgrad(g: np.ndarray, xp: np.ndarray, kh: int, kw: int,
                      stride: int) -> np.ndarray:
     """Gradient of ``_correlate`` in its weight: (cout, cin, kh, kw)."""
     cout, bs, ho, wo = g.shape
+    cin, _, hp, wp = xp.shape
+    if stride == 1:
+        # g on the input's flat grid, so window column p of every tap meets output p
+        grid = np.zeros((cout, bs, hp, wp), dtype=g.dtype)
+        grid[:, :, :ho, :wo] = g
+        g = grid
     gm = g.reshape(cout, -1)
-    dw = np.empty((cout, xp.shape[0], kh, kw), dtype=np.result_type(g, xp))
-    for i, j, tap in _taps(kh, kw, ho, wo, stride):
-        dw[:, :, i, j] = gm @ xp[tap].reshape(xp.shape[0], -1).T
+    dw = np.empty((cout, cin, kh, kw), dtype=np.result_type(g, xp))
+    for i, j, tap in _taps(xp, kh, kw, stride):
+        tap = tap.reshape(cin, -1)
+        dw[:, :, i, j] = gm[:, :tap.shape[1]] @ tap.T
     return dw
 
 
@@ -364,15 +401,17 @@ def grid_sample(x: Tensor, grid: Tensor) -> Tensor:
 
     def backward(g):
         gt = np.ascontiguousarray(g.transpose(0, 2, 3, 1))  # (b, ho, wo, c)
-        dx_total = np.zeros(bs * c * h * w, dtype=np.float64)
-        for wgt, _, ok, yc, xc in taps:
-            contrib = gt * wgt[:, :, :, None]
-            contrib[~ok] = 0
-            cidx = np.arange(c).reshape(1, 1, 1, c)
-            flat = ((bidx[..., None] * c + cidx) * h + yc[..., None]) * w + xc[..., None]
-            dx_total += np.bincount(flat.reshape(-1), weights=contrib.reshape(-1),
-                                    minlength=bs * c * h * w)
-        dinput = dx_total.reshape(bs, c, h, w).astype(x.dtype)
+        dinput = None
+        if x.requires_grad:
+            dx_total = np.zeros(bs * c * h * w, dtype=np.float64)
+            for wgt, _, ok, yc, xc in taps:
+                contrib = gt * wgt[:, :, :, None]
+                contrib[~ok] = 0
+                cidx = np.arange(c).reshape(1, 1, 1, c)
+                flat = ((bidx[..., None] * c + cidx) * h + yc[..., None]) * w + xc[..., None]
+                dx_total += np.bincount(flat.reshape(-1), weights=contrib.reshape(-1),
+                                        minlength=bs * c * h * w)
+            dinput = dx_total.reshape(bs, c, h, w).astype(x.dtype)
 
         v00, v01, v10, v11 = (t[1] for t in taps)
         dgx = (1 - fy)[:, :, :, None] * (v01 - v00) + fy[:, :, :, None] * (v11 - v10)

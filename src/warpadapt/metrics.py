@@ -29,28 +29,15 @@ def _per_pixel_error(pred: np.ndarray, gt: np.ndarray):
     return err, mag
 
 
-def _valid_mask(shape, valid):
-    if valid is None:
-        return np.ones(shape, dtype=bool)
-    m = np.asarray(valid).astype(bool)
-    if m.ndim == 4:
-        m = m[:, 0]
-    if not m.any():
-        raise MetricError("empty valid set")
-    return m
-
-
-def epe(pred: np.ndarray, gt: np.ndarray, valid=None) -> float:
+def epe(pred: np.ndarray, gt: np.ndarray) -> float:
     """Mean error magnitude: |delta d| for disparity, endpoint norm for flow."""
     err, _ = _per_pixel_error(pred, gt)
-    m = _valid_mask(err.shape, valid)
-    return float(err[m].mean())
+    return float(err.mean())
 
 
 def threshold_error_rate(pred: np.ndarray, gt: np.ndarray, abs_thresh: float,
-                         rel_thresh: float | None = None, valid=None,
-                         mode: str = "or") -> float:
-    """Percentage of valid pixels whose error exceeds the threshold(s).
+                         rel_thresh: float | None = None, mode: str = "or") -> float:
+    """Percentage of pixels whose error exceeds the threshold(s).
 
     With a relative threshold, "or" counts pixels beyond either bound (the
     looser, text-level reading) and "and" requires both (benchmark convention).
@@ -58,14 +45,13 @@ def threshold_error_rate(pred: np.ndarray, gt: np.ndarray, abs_thresh: float,
     if mode not in D1_MODES:
         raise UsageError(f"mode must be one of {D1_MODES}, got {mode!r}")
     err, mag = _per_pixel_error(pred, gt)
-    m = _valid_mask(err.shape, valid)
     over_abs = err > abs_thresh
     if rel_thresh is None:
         bad = over_abs
     else:
         over_rel = err > rel_thresh * mag
         bad = (over_abs | over_rel) if mode == "or" else (over_abs & over_rel)
-    return float(100.0 * bad[m].mean())
+    return float(100.0 * bad.mean())
 
 
 def psnr(a: np.ndarray, b: np.ndarray) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels as K
-from .autograd import Tensor, concat
+from .autograd import Tensor, concat, split
 from .errors import ConfigError
 
 
@@ -127,10 +127,12 @@ class _PyramidNet(Network):
         self._conv("enc1", 3, cb, 3)
         self._conv("enc2", cb, 2 * cb, 3)
 
-    def _encode(self, img: Tensor):
-        f1 = K.leaky_relu(self.conv("enc1", img, stride=2), 0.1)
+    def _encode(self, img_a: Tensor, img_b: Tensor):
+        """Both frames in one pass: frame a's 1/2- and 1/4-scale features, then
+        each frame's matching features for the correlation."""
+        f1 = K.leaky_relu(self.conv("enc1", concat([img_a, img_b], axis=0), stride=2), 0.1)
         f2 = K.leaky_relu(self.conv("enc2", f1, stride=2), 0.1)
-        return f1, f2
+        return (split(f1, 2)[0], split(f2, 2)[0], *split(self._match_features(f2), 2))
 
     @staticmethod
     def _match_features(f: Tensor) -> Tensor:
@@ -175,10 +177,8 @@ class StereoNet(_PyramidNet):
         self._build_decoder(self.corr_disp + 1, 1)
 
     def forward(self, left: Tensor, right: Tensor):
-        f1l, f2l = self._encode(left)
-        _, f2r = self._encode(right)
-        corr = K.correlation(self._match_features(f2l), self._match_features(f2r),
-                             self.corr_disp)
+        f1l, f2l, nl, nr = self._encode(left, right)
+        corr = K.correlation(nl, nr, self.corr_disp)
         return self._decode(corr, f2l, f1l, left, K.softplus)
 
 
@@ -195,10 +195,7 @@ class FlowNet(_PyramidNet):
         self._build_decoder(2 * (2 * self.corr_disp + 1), 2)
 
     def forward(self, frame_t: Tensor, frame_t1: Tensor):
-        f1a, f2a = self._encode(frame_t)
-        _, f2b = self._encode(frame_t1)
-        na = self._match_features(f2a)
-        nb = self._match_features(f2b)
+        f1a, f2a, na, nb = self._encode(frame_t, frame_t1)
         ch = K.correlation(na, nb, self.corr_disp, axis=3, signed=True)
         cv = K.correlation(na, nb, self.corr_disp, axis=2, signed=True)
         corr = concat([ch, cv])

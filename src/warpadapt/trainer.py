@@ -21,7 +21,7 @@ import numpy as np
 
 from . import losses as L
 from . import metrics as M
-from .autograd import Tensor, backward, concat, no_grad, zero_grads
+from .autograd import Tensor, backward, concat, no_grad, split, zero_grads
 from .dataio import CHECKPOINT_MAGIC, Reader, pack_tensor
 from .errors import ConfigError, FormatError, UsageError
 from .networks import Discriminator, Extractor, FlowNet, Generator, StereoNet
@@ -342,10 +342,10 @@ def task_step(state: TrainState, syn: dict, real: dict | None) -> dict:
     if source_only:
         tx_l, tx_r, tx_t1 = syn["left"], syn["right"], syn["next_left"]
     else:
+        # convolutions act on each sample alone, so the three frames share one pass
         with no_grad():
-            tx_l = nets["gen_a2b"].translate(syn["left"])
-            tx_r = nets["gen_a2b"].translate(syn["right"])
-            tx_t1 = nets["gen_a2b"].translate(syn["next_left"])
+            frames = concat([syn["left"], syn["right"], syn["next_left"]], axis=0)
+            tx_l, tx_r, tx_t1 = split(nets["gen_a2b"].translate(frames), 3)
 
     stages_d = nets["stereo"].forward(tx_l, tx_r)
     disp_sup = L.supervised_disp_loss(stages_d, syn["disparity"], cfg.gamma_stages)
@@ -359,9 +359,8 @@ def task_step(state: TrainState, syn: dict, real: dict | None) -> dict:
     if not source_only and real is not None:
         y_l, y_r, y_t1 = real["left"], real["right"], real["next_left"]
         with no_grad():
-            _, by_l = nets["gen_b2a"].forward(y_l, need_output=False)
-            _, by_r = nets["gen_b2a"].forward(y_r, need_output=False)
-            _, by_t1 = nets["gen_b2a"].forward(y_t1, need_output=False)
+            _, taps = nets["gen_b2a"].forward(concat([y_l, y_r, y_t1], axis=0), need_output=False)
+            by_l, by_r, by_t1 = zip(*(split(t, 3) for t in taps))
         if w.lambda_disp_warp_real > 0.0:
             pred_d = nets["stereo"].forward(y_l, y_r)[-1]
             disp_warp = (multiscale_warp_loss(by_l, by_r, pred_d, sign=-1)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from warpadapt import autograd as ag
-from warpadapt.autograd import Tensor, backward, grad_check, make_tensor, no_grad, topo_order
+from warpadapt.autograd import (Tensor, backward, concat, grad_check, make_tensor, no_grad, split,
+                                topo_order)
 from warpadapt.errors import ShapeError, UsageError
 
 
@@ -125,3 +126,20 @@ class TestBroadcast:
     def test_incompatible_shapes(self):
         with pytest.raises(ShapeError):
             ag.add(rand((1, 2, 3, 4)), rand((1, 2, 4, 3)))
+
+
+class TestSplit:
+    def test_undoes_batch_concat(self):
+        a, b, c = rand((1, 2, 3, 4), seed=1), rand((1, 2, 3, 4), seed=2), rand((1, 2, 3, 4), seed=3)
+        pieces = split(concat([a, b, c], axis=0), 3)
+        assert all(np.array_equal(p.data, t.data) for p, t in zip(pieces, (a, b, c)))
+
+    def test_backward_fills_other_pieces_with_zero(self):
+        x = rand((2, 1, 2, 2), seed=4)
+        x.requires_grad = True
+        backward(split(x, 2)[1].sum())
+        assert np.array_equal(x.grad, np.concatenate([np.zeros((1, 1, 2, 2)), np.ones((1, 1, 2, 2))]))
+
+    def test_uneven_parts_rejected(self):
+        with pytest.raises(ShapeError):
+            split(rand((3, 1, 2, 2)), 2)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from warpadapt import kernels as K
-from warpadapt.autograd import Tensor, grad_check, make_tensor
+from warpadapt.autograd import Tensor, backward, grad_check, make_tensor
 from warpadapt.checks import kernel_cases
 from warpadapt.errors import ShapeError
 
@@ -161,6 +161,38 @@ class TestConv:
         want = conv_transpose2d_bruteforce(x.data, w.data, b.data, 2, 1)
         assert got.shape == want.shape == (2, cout, 6, 10)
         assert np.allclose(got, want, atol=1e-10)
+
+    # kernel x stride x pad x batch x cout x extents. Batch 3 makes the flat
+    # stride-1 windows cross sample boundaries; cout 1 is the networks' output
+    # heads; odd extents leave the last padded row or column unread at stride 2.
+    @pytest.mark.parametrize("transposed", [False, True], ids=["conv", "convT"])
+    @pytest.mark.parametrize("k,stride,pad,bs,cout,hw", [
+        (k, s, p, bs, cout, hw) for k in (1, 2, 3, 4) for s in (1, 2) for p in (0, 1, 2)
+        for bs in (1, 3) for cout in (1, 2) for hw in ((5, 7), (6, 8), (5, 8), (6, 7))])
+    def test_oracle_sweep(self, transposed, k, stride, pad, bs, cout, hw):
+        conv, oracle = ((K.conv_transpose2d, conv_transpose2d_bruteforce) if transposed
+                        else (K.conv2d, conv2d_bruteforce))
+        rng = np.random.default_rng([k, stride, pad, bs, cout, *hw, transposed])
+        cin = 2
+        x = Tensor(rng.standard_normal((bs, cin) + hw), requires_grad=True)
+        w = Tensor(rng.standard_normal((cin, cout, k, k) if transposed else (cout, cin, k, k)),
+                   requires_grad=True)
+        b = Tensor(rng.standard_normal((1, cout, 1, 1)))
+        y = conv(x, w, b, stride=stride, pad=pad)
+        want = oracle(x.data, w.data, b.data, stride, pad)
+        assert y.shape == want.shape
+        assert np.allclose(y.data, want, atol=1e-10)
+        # both convolutions are linear in x and in w once the bias is zero, so
+        # each gradient of <dy, y> satisfies <dy, conv(x')> == <x', dx>
+        dy = rng.standard_normal(y.shape)
+        backward((y * Tensor(dy)).sum())
+        zb = Tensor(np.zeros((1, cout, 1, 1)))
+        x2 = rng.standard_normal(x.shape)
+        w2 = rng.standard_normal(w.shape)
+        lhs_x = (dy * conv(Tensor(x2), w, zb, stride=stride, pad=pad).data).sum()
+        lhs_w = (dy * conv(x, Tensor(w2), zb, stride=stride, pad=pad).data).sum()
+        assert np.isclose(lhs_x, (x2 * x.grad).sum(), rtol=1e-10, atol=1e-10)
+        assert np.isclose(lhs_w, (w2 * w.grad).sum(), rtol=1e-10, atol=1e-10)
 
     def test_conv_transpose_doubles_extent(self):
         x = rand((1, 3, 5, 7), seed=10)
@@ -341,6 +373,19 @@ class TestGradients:
         grid = Tensor(np.concatenate([gx, gy], axis=1))
         err = grad_check(lambda t: K.square(K.grid_sample(img, t)).mean(), grid, step=1e-3)
         assert err < 1e-3
+
+    def test_grid_sample_frozen_source(self):
+        # a source that needs no gradient gets none; the grid's is unchanged
+        rng = np.random.default_rng(33)
+        img = rng.uniform(0, 1, (2, 3, 6, 8))
+        grid = np.concatenate([rng.uniform(-1, 8, (2, 1, 5, 7)), rng.uniform(-1, 6, (2, 1, 5, 7))],
+                              axis=1)
+        g = rng.standard_normal((2, 3, 5, 7))
+        frozen = K.grid_sample(Tensor(img), Tensor(grid, requires_grad=True))._backward(g)
+        live = K.grid_sample(Tensor(img, requires_grad=True),
+                             Tensor(grid, requires_grad=True))._backward(g)
+        assert frozen[0] is None and live[0] is not None
+        assert np.array_equal(frozen[1], live[1])
 
     def test_smooth_l1_both_branches(self):
         rng = np.random.default_rng(32)

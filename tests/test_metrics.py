@@ -13,14 +13,12 @@ from test_kernels import ssim_bruteforce
 
 # -- 64-bit brute-force oracles --------------------------------------------------
 
-def epe_bruteforce(pred, gt, valid=None):
+def epe_bruteforce(pred, gt):
     total, count = 0.0, 0
     b, c, h, w = pred.shape
     for n in range(b):
         for y in range(h):
             for x in range(w):
-                if valid is not None and not valid[n, 0, y, x]:
-                    continue
                 if c == 1:
                     e = abs(float(pred[n, 0, y, x]) - float(gt[n, 0, y, x]))
                 else:
@@ -32,14 +30,12 @@ def epe_bruteforce(pred, gt, valid=None):
     return total / count
 
 
-def rate_bruteforce(pred, gt, abs_t, rel_t=None, mode="or", valid=None):
+def rate_bruteforce(pred, gt, abs_t, rel_t=None, mode="or"):
     bad, count = 0, 0
     b, c, h, w = pred.shape
     for n in range(b):
         for y in range(h):
             for x in range(w):
-                if valid is not None and not valid[n, 0, y, x]:
-                    continue
                 if c == 1:
                     e = abs(float(pred[n, 0, y, x]) - float(gt[n, 0, y, x]))
                     mag = abs(float(gt[n, 0, y, x]))
@@ -85,20 +81,12 @@ class TestEPE:
         pred[:, 1] = 4.0
         assert M.epe(pred, gt) == pytest.approx(5.0)
 
-    def test_empty_valid_set(self):
-        gt = np.zeros((1, 1, 2, 2))
-        with pytest.raises(MetricError):
-            M.epe(gt, gt, valid=np.zeros((1, 1, 2, 2)))
-
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(1)
         for c, seed in ((1, 2), (2, 3)):
             pred = rng.uniform(0, 8, (1, c, 8, 8))
             gt = rng.uniform(0, 8, (1, c, 8, 8))
-            valid = rng.uniform(0, 1, (1, 1, 8, 8)) > 0.3
             assert M.epe(pred, gt) == pytest.approx(epe_bruteforce(pred, gt), abs=1e-9)
-            assert M.epe(pred, gt, valid) == pytest.approx(
-                epe_bruteforce(pred, gt, valid), abs=1e-9)
 
 
 class TestThresholdRate:

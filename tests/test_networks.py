@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from warpadapt.autograd import Tensor, backward, no_grad
+from warpadapt import kernels as K
+from warpadapt.autograd import Tensor, backward, concat, no_grad
 from warpadapt.errors import ConfigError
 from warpadapt.networks import Discriminator, Extractor, FlowNet, Generator, StereoNet
 
@@ -102,6 +103,48 @@ class TestFlowNet:
         stages = net.forward(rand_img((1, 3, 32, 64), seed=21),
                              rand_img((1, 3, 32, 64), seed=22))
         assert stages[-1].data.min() < 0
+
+
+class TestBatchFolding:
+    def test_samples_never_mix(self):
+        # the task step folds frames along the batch axis, which is exact only
+        # if each sample of a batch gives what it gives alone
+        a = rand_img((2, 3, 32, 64), seed=40)
+        b = rand_img((2, 3, 32, 64), seed=41)
+        gen = Generator(seed=42, channels_base=4)
+        stereo = StereoNet(seed=43, max_disp=8, channels_base=4)
+        flow = FlowNet(seed=44, max_flow=4, channels_base=4)
+        out, taps = gen.forward(a)
+        batched = [[out] + taps, stereo.forward(a, b), flow.forward(a, b)]
+        for n in range(2):
+            a1, b1 = Tensor(a.data[n:n + 1]), Tensor(b.data[n:n + 1])
+            out1, taps1 = gen.forward(a1)
+            alone = [[out1] + taps1, stereo.forward(a1, b1), flow.forward(a1, b1)]
+            for got, want in zip(batched, alone):
+                for g, w in zip(got, want):
+                    assert np.allclose(g.data[n:n + 1], w.data, atol=1e-6)
+
+    def test_matches_per_frame_encoding(self):
+        # reference: each frame encoded in its own pass, as before folding
+        def encode(net, img):
+            f1 = K.leaky_relu(net.conv("enc1", img, stride=2), 0.1)
+            return f1, K.leaky_relu(net.conv("enc2", f1, stride=2), 0.1)
+
+        a = rand_img((2, 3, 32, 64), seed=45)
+        b = rand_img((2, 3, 32, 64), seed=46)
+        stereo = StereoNet(seed=47, max_disp=8, channels_base=4)
+        flow = FlowNet(seed=48, max_flow=4, channels_base=4)
+        for net in (stereo, flow):
+            (f1a, f2a), (_, f2b) = encode(net, a), encode(net, b)
+            na, nb = net._match_features(f2a), net._match_features(f2b)
+            if net is stereo:
+                want = net._decode(K.correlation(na, nb, net.corr_disp), f2a, f1a, a, K.softplus)
+            else:
+                corr = concat([K.correlation(na, nb, net.corr_disp, axis=ax, signed=True)
+                               for ax in (3, 2)])
+                want = net._decode(corr, f2a, f1a, a, lambda t: t)
+            for g, w in zip(net.forward(a, b), want):
+                assert np.allclose(g.data, w.data, atol=1e-6)
 
 
 class TestExtractor:
