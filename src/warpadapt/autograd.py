@@ -110,18 +110,6 @@ class Tensor:
         return _reduce(self, axis, how="sum")
 
 
-def make_tensor(shape: Sequence[int], values, requires_grad: bool = False) -> Tensor:
-    """Leaf tensor from a flat list of values in row-major (b, c, h, w) order."""
-    shape = tuple(int(s) for s in shape)
-    if len(shape) != 4 or any(s < 0 for s in shape):
-        raise ShapeError(f"need 4 non-negative extents, got {shape}")
-    flat = np.asarray(values, dtype=np.float32).reshape(-1)
-    expected = int(np.prod(shape)) if shape else 0
-    if flat.size != expected:
-        raise ShapeError(f"{flat.size} values for shape {shape} (need {expected})")
-    return Tensor(flat.reshape(shape), requires_grad=requires_grad)
-
-
 def result(data: np.ndarray, parents: tuple, backward: Callable) -> Tensor:
     """Wrap a kernel output, recording the graph edge only when grads are live."""
     if grad_enabled() and any(p.requires_grad for p in parents):
@@ -186,17 +174,9 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
 def _reduce(a: Tensor, axis: Optional[int], how: str) -> Tensor:
     if axis is not None and axis not in (0, 1, 2, 3):
         raise UsageError(f"axis must be None or 0..3, got {axis}")
-    if axis is None:
-        n = a.data.size
-        val = a.data.mean() if how == "mean" else a.data.sum()
-        out = np.asarray(val, dtype=a.dtype).reshape(SCALAR_SHAPE)
-        scale = 1.0 / n if how == "mean" else 1.0
-        return result(out, (a,),
-                      lambda g: (np.broadcast_to(g * np.asarray(scale, a.dtype.type), a.shape).copy(),))
-    n = a.shape[axis]
     if how == "mean":
         out = a.data.mean(axis=axis, keepdims=True)
-        scale = 1.0 / n
+        scale = 1.0 / (a.data.size if axis is None else a.shape[axis])
     else:
         out = a.data.sum(axis=axis, keepdims=True)
         scale = 1.0

@@ -14,7 +14,10 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import kernels as K
-from .autograd import Tensor, concat, grad_check, split
+from . import losses as L
+from .autograd import Tensor, concat, grad_check, no_grad, split
+from .networks import Extractor
+from .warping import multiscale_warp_loss, stagewise_warp_loss, warp
 
 SMOOTH_TOL = 1e-4
 KINKED_TOL = 1e-3
@@ -161,14 +164,11 @@ def _offset(rng, shape, lo, hi):
 
 def _extractor_preact_margin(extractor, x) -> float:
     """Smallest |pre-activation| across the extractor stack for input x."""
-    from .autograd import no_grad
-    from . import kernels as KK
-
     with no_grad():
         p1 = extractor.conv("c1", x)
-        t1 = KK.leaky_relu(p1, 0.1)
+        t1 = K.leaky_relu(p1, 0.1)
         p2 = extractor.conv("c2", t1, stride=2)
-        t2 = KK.leaky_relu(p2, 0.1)
+        t2 = K.leaky_relu(p2, 0.1)
         p3 = extractor.conv("c3", t2, stride=2)
     return min(np.abs(p.data).min() for p in (p1, p2, p3))
 
@@ -180,11 +180,6 @@ def loss_cases(seed: int = 0) -> Iterator[tuple[str, Callable, Tensor, float]]:
     abs / smooth-L1 kink: differences are offset away from zero and pyramid
     targets use constant bases that interpolation preserves exactly.
     """
-    from . import losses as L
-    from .networks import Extractor
-    from .warping import multiscale_warp_loss, stagewise_warp_loss, warp
-    from .autograd import no_grad
-
     rng = np.random.default_rng(seed)
     shp = (1, 3, 8, 8)
 
@@ -288,12 +283,9 @@ def loss_cases(seed: int = 0) -> Iterator[tuple[str, Callable, Tensor, float]]:
 
 def run_suite(seed: int = 0) -> list[CheckResult]:
     results = []
-    for case in kernel_cases(seed):
-        name, f, x, tol = case[:4]
-        step = case[4] if len(case) > 4 else 1e-3
-        results.append(CheckResult(f"kernel/{name}", grad_check(f, x, step=step), tol))
-    for case in loss_cases(seed):
-        name, f, x, tol = case[:4]
-        step = case[4] if len(case) > 4 else 1e-3
-        results.append(CheckResult(f"loss/{name}", grad_check(f, x, step=step), tol))
+    for group, cases in (("kernel", kernel_cases(seed)), ("loss", loss_cases(seed))):
+        for case in cases:
+            name, f, x, tol = case[:4]
+            step = case[4] if len(case) > 4 else 1e-3
+            results.append(CheckResult(f"{group}/{name}", grad_check(f, x, step=step), tol))
     return results

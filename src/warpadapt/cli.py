@@ -48,9 +48,7 @@ def build_train_config(kv: dict) -> TrainConfig:
     """Parse each text value with its field's type."""
     values = {}
     for key, text in kv.items():
-        kind = CONFIG_KEYS.get(key)
-        if kind is None:
-            raise ConfigError(f"unknown config key {key!r}")
+        kind = CONFIG_KEYS[key]
         try:
             values[key] = kind(text)
         except ValueError:
@@ -107,11 +105,7 @@ def cmd_generate(args) -> int:
                                height=args.height, max_disp=args.max_disp,
                                max_flow=args.max_flow)
         samples.append(apply_domain_shift(scene, shift, seed=args.seed + i))
-    try:
-        write_dataset(samples, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    write_dataset(samples, args.out)
     print(f"wrote {args.count} synthetic + {args.count} real samples "
           f"({args.width}x{args.height}, max_disp {args.max_disp}, "
           f"max_flow {args.max_flow}, preset {args.shift_preset}) to {args.out}")
@@ -121,20 +115,12 @@ def cmd_generate(args) -> int:
 def cmd_train(args, extra) -> int:
     kv = {}
     if args.config:
-        try:
-            with open(args.config) as fh:
-                kv = parse_config_text(fh.read(), args.config)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
+        with open(args.config) as fh:
+            kv = parse_config_text(fh.read(), args.config)
     kv = _apply_overrides(kv, extra)
     config = build_train_config(kv)
-    try:
-        state, log_lines, report = run_training(config, args.data, args.out,
-                                                resume=args.resume)
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    state, log_lines, report = run_training(config, args.data, args.out,
+                                            resume=args.resume)
     echo = " ".join(f"{k}={v}" for k, v in sorted(kv.items()))
     print(f"config: {echo}" if echo else "config: defaults")
     print(f"trained {state.iteration} iterations; final validation:")
@@ -143,24 +129,15 @@ def cmd_train(args, extra) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        state = load_checkpoint(args.checkpoint)
-        samples = read_dataset(args.data)
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    state = load_checkpoint(args.checkpoint)
+    samples = read_dataset(args.data)
     _, real = split_domains(samples)
     vc = state.config.val_count
     val = real[-vc:] if vc and len(real) > vc else real
-    try:
-        report = M.evaluate(state.nets, val, d1_mode=args.d1_mode,
-                            oracle=args.oracle,
-                            config={"checkpoint": os.path.basename(args.checkpoint),
-                                    "iteration": state.iteration,
-                                    "d1_mode": args.d1_mode})
-    except MetricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    report = M.evaluate(state.nets, val, d1_mode=args.d1_mode, oracle=args.oracle,
+                        config={"checkpoint": os.path.basename(args.checkpoint),
+                                "iteration": state.iteration,
+                                "d1_mode": args.d1_mode})
     print(report.to_text())
     print(report.csv_header())
     print(report.to_csv_row())
@@ -168,13 +145,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    try:
-        state = load_checkpoint(args.checkpoint)
-        with open(args.sample, "rb") as fh:
-            sample = sample_from_bytes(fh.read(), label=os.path.basename(args.sample))
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    state = load_checkpoint(args.checkpoint)
+    with open(args.sample, "rb") as fh:
+        sample = sample_from_bytes(fh.read(), label=os.path.basename(args.sample))
     os.makedirs(args.out, exist_ok=True)
 
     expected = {"a2b": "synthetic", "b2a": "real", "cycle": "real"}[args.direction]

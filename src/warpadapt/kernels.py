@@ -363,7 +363,8 @@ def grid_sample(x: Tensor, grid: Tensor) -> Tensor:
 
     ``grid`` is (b, 2, ho, wo): channel 0 holds source x-coordinates, channel 1
     source y-coordinates. Out-of-bounds taps read as zero and contribute no
-    gradient to the input. Differentiable in both the input and the grid.
+    gradient to the input. Differentiable in both the input and the grid; each
+    gets a gradient only when it requires one.
     """
     bs, c, h, w = x.shape
     if grid.shape[0] != bs or grid.shape[1] != 2:
@@ -413,12 +414,14 @@ def grid_sample(x: Tensor, grid: Tensor) -> Tensor:
                                         minlength=bs * c * h * w)
             dinput = dx_total.reshape(bs, c, h, w).astype(x.dtype)
 
-        v00, v01, v10, v11 = (t[1] for t in taps)
-        dgx = (1 - fy)[:, :, :, None] * (v01 - v00) + fy[:, :, :, None] * (v11 - v10)
-        dgy = (1 - fx)[:, :, :, None] * (v10 - v00) + fx[:, :, :, None] * (v11 - v01)
-        dgrid = np.stack(
-            [(gt * dgx).sum(axis=3), (gt * dgy).sum(axis=3)], axis=1
-        ).astype(grid.dtype)
+        dgrid = None
+        if grid.requires_grad:
+            v00, v01, v10, v11 = (t[1] for t in taps)
+            dgx = (1 - fy)[:, :, :, None] * (v01 - v00) + fy[:, :, :, None] * (v11 - v10)
+            dgy = (1 - fx)[:, :, :, None] * (v10 - v00) + fx[:, :, :, None] * (v11 - v01)
+            dgrid = np.stack(
+                [(gt * dgx).sum(axis=3), (gt * dgy).sum(axis=3)], axis=1
+            ).astype(grid.dtype)
         return dinput, dgrid
 
     return result(out, (x, grid), backward)

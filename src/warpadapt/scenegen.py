@@ -7,7 +7,10 @@ shifts every layer horizontally by its own amount and flow translates it in
 2-D. The nearest layer covering a pixel owns it, and only owned pixels are
 textured. Textures are low-frequency sinusoids evaluated analytically at each
 view's coordinates, keeping photoconsistency errors well under the bilinear
-interpolation tolerance.
+interpolation tolerance. The owner maps also give the occlusion mask: a
+left-view pixel is visible at t and t+1 when the next frame still shows its
+layer at the flowed position. No stereo visibility mask is stored, because no
+training term or metric reads one.
 
 The "real" domain is a color/gamma/vignette/noise shift of independently
 generated scenes; ground truth rides along for held-out evaluation only.
@@ -39,11 +42,6 @@ class SceneSample:
     flow: Optional[np.ndarray]           # (1, 2, h, w) pixels (u, v)
     occlusion: Optional[np.ndarray]      # (1, 1, h, w), 1 = visible at t and t+1
     domain: str = "synthetic"
-
-
-@dataclass
-class SceneDiagnostics:
-    stereo_valid: np.ndarray             # (1, 1, h, w), 1 = surface visible in both views
 
 
 @dataclass
@@ -212,9 +210,9 @@ def check_scene_params(width: int, height: int, max_disp: int, max_flow: int) ->
                           f"got {max_disp} and {max_flow}")
 
 
-def render_scene(seed: int, width: int = 128, height: int = 64, max_disp: int = 16,
-                 max_flow: int = 8, num_layers: int | None = None):
-    """Generate one synthetic tuple plus its visibility diagnostics."""
+def generate_scene(seed: int, width: int = 128, height: int = 64, max_disp: int = 16,
+                   max_flow: int = 8, num_layers: int | None = None) -> SceneSample:
+    """Generate one synthetic tuple with its ground-truth fields."""
     check_scene_params(width, height, max_disp, max_flow)
     rng = np.random.default_rng(np.random.PCG64(seed))
     layers = _sample_layers(rng, width, height, max_disp, max_flow, num_layers)
@@ -234,24 +232,16 @@ def render_scene(seed: int, width: int = 128, height: int = 64, max_disp: int = 
 
     occl_ok, occl_ref = _lookup_ids(id_next, xs + flow_u, ys + flow_v)
     occlusion = occl_ok & (occl_ref == id_left)
-    stereo_ok, stereo_ref = _lookup_ids(id_right, xs - disparity, ys)
-    stereo_valid = stereo_ok & (stereo_ref == id_left)
 
     def shape4(a, c):
         return np.ascontiguousarray(a, dtype=np.float32).reshape(1, c, height, width)
 
-    sample = SceneSample(
+    return SceneSample(
         left=shape4(left, 3), right=shape4(right, 3), next_left=shape4(nxt, 3),
         disparity=shape4(disparity, 1),
         flow=shape4(np.stack([flow_u, flow_v]), 2),
         occlusion=shape4(occlusion.astype(np.float64), 1),
         domain="synthetic")
-    return sample, SceneDiagnostics(stereo_valid=shape4(stereo_valid.astype(np.float64), 1))
-
-
-def generate_scene(seed: int, width: int = 128, height: int = 64, max_disp: int = 16,
-                   max_flow: int = 8, num_layers: int | None = None) -> SceneSample:
-    return render_scene(seed, width, height, max_disp, max_flow, num_layers)[0]
 
 
 def apply_domain_shift(sample: SceneSample, shift: DomainShift, seed: int) -> SceneSample:

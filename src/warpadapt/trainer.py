@@ -28,7 +28,7 @@ from .networks import Discriminator, Extractor, FlowNet, Generator, StereoNet
 from .scenegen import read_dataset, split_domains
 from .warping import multiscale_warp_loss
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 RUNNING_DECAY = np.float32(0.98)
 OBJECTIVES = ("full", "source_only")
 # string fields and their allowed values; checkpoints store the value's index
@@ -167,7 +167,6 @@ class TrainState:
     iteration: int
     nets: dict
     opts: dict
-    rng: np.random.Generator
     running: dict
 
 
@@ -192,9 +191,8 @@ def init_state(config: TrainConfig) -> TrainState:
         "flow": Adam(nets["flow"].parameters(), config.lr_flow, betas,
                      weight_decay=config.flow_weight_decay),
     }
-    rng = np.random.default_rng(np.random.PCG64(config.seed))
     running = {k: np.float32(0.0) for k in L.BREAKDOWN_KEYS}
-    return TrainState(config, 0, nets, opts, rng, running)
+    return TrainState(config, 0, nets, opts, running)
 
 
 def _merge_params(nets: dict) -> dict:
@@ -249,6 +247,19 @@ def make_batch(samples, indices):
 
 # -- the two step kinds --------------------------------------------------------------
 
+def _optimize(state: TrainState, loss: Tensor, *stepped: str) -> None:
+    """Backpropagate ``loss`` and step only the named optimizers; every
+    optimizer's gradients are cleared before and after, so nothing carries
+    over into the next sub-step."""
+    for opt in state.opts.values():
+        opt.zero_grad()
+    backward(loss)
+    for name in stepped:
+        state.opts[name].step()
+    for opt in state.opts.values():
+        opt.zero_grad()
+
+
 def _zeros_breakdown():
     return {k: np.float32(0.0) for k in L.BREAKDOWN_KEYS}
 
@@ -279,10 +290,7 @@ def translation_step(state: TrainState, syn: dict, real: dict) -> dict:
     d_real_a = da.forward(concat([x_l, x_r], axis=0))
     d_fake_a = da.forward(fy_l.detach())
     _, disc_a = L.adversarial_loss(d_real_a, d_fake_a)
-    state.opts["disc"].zero_grad()
-    backward(disc_b + disc_a)
-    state.opts["disc"].step()
-    state.opts["disc"].zero_grad()
+    _optimize(state, disc_b + disc_a, "disc")
 
     # generator sub-step against the updated discriminators
     adv_a2b, _ = L.adversarial_loss(d_real_b.detach(),
@@ -310,12 +318,7 @@ def translation_step(state: TrainState, syn: dict, real: dict) -> dict:
                                lambda: L.mode_seeking_loss(fx_l, fx_t1, x_l, x_t1)),
     }
     total, translation = L.translation_objective(parts, w)
-    state.opts["gen"].zero_grad()
-    state.opts["disc"].zero_grad()
-    backward(total)
-    state.opts["gen"].step()
-    state.opts["gen"].zero_grad()
-    state.opts["disc"].zero_grad()
+    _optimize(state, total, "gen")
 
     out = _zeros_breakdown()
     for key, val in parts.items():
@@ -375,13 +378,7 @@ def task_step(state: TrainState, syn: dict, real: dict | None) -> dict:
     total_d = L.stereo_objective(parts, w)
     total_f = L.flow_objective(parts, w)
 
-    state.opts["stereo"].zero_grad()
-    state.opts["flow"].zero_grad()
-    backward(total_d + total_f)
-    state.opts["stereo"].step()
-    state.opts["flow"].step()
-    state.opts["stereo"].zero_grad()
-    state.opts["flow"].zero_grad()
+    _optimize(state, total_d + total_f, "stereo", "flow")
 
     out = _zeros_breakdown()
     for key, val in parts.items():
@@ -448,13 +445,6 @@ def save_checkpoint(state: TrainState, path: str) -> None:
         chunks.append(nb)
         chunks.append(pack_tensor(arr))
     chunks.append(struct.pack("<Q", state.iteration))
-    bg = state.rng.bit_generator.state
-    if bg.get("has_uint32"):
-        raise UsageError("generator holds a cached 32-bit draw; cannot serialize")
-    s128 = bg["state"]["state"]
-    inc128 = bg["state"]["inc"]
-    chunks.append(struct.pack("<4Q", s128 & (2**64 - 1), s128 >> 64,
-                              inc128 & (2**64 - 1), inc128 >> 64))
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
 
@@ -480,7 +470,6 @@ def load_checkpoint(path: str, config: TrainConfig | None = None) -> TrainState:
         name = r.take(nlen).decode()
         records[name] = r.tensor()
     iteration = r.u64()
-    s_lo, s_hi, i_lo, i_hi = (r.u64() for _ in range(4))
     r.done()
 
     def cfgval(key):
@@ -506,11 +495,6 @@ def load_checkpoint(path: str, config: TrainConfig | None = None) -> TrainState:
         opt.moments["t"] = int(records[f"opt.{opt_name}.t"].reshape(-1)[0])
     for key in state.running:
         state.running[key] = records[f"avg.{key}"].reshape(-1)[0]
-    state.rng.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": s_lo | (s_hi << 64), "inc": i_lo | (i_hi << 64)},
-        "has_uint32": 0, "uinteger": 0,
-    }
     return state
 
 

@@ -18,8 +18,7 @@ from warpadapt import trainer as T
 from warpadapt.autograd import Tensor
 from warpadapt.checks import run_suite
 from warpadapt.scenegen import (apply_domain_shift, generate_scene, read_dataset,
-                                render_scene, shift_preset, split_domains,
-                                write_dataset)
+                                shift_preset, split_domains, write_dataset)
 from warpadapt.warping import multiscale_warp_loss, resize_field, warp
 
 from test_kernels import ssim_bruteforce

@@ -1,5 +1,6 @@
 import filecmp
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -170,6 +171,37 @@ class TestEval:
         main(["eval", "--checkpoint", small_run["checkpoint"], "--data", small_run["data"]])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestDataErrors:
+    @pytest.mark.parametrize("case", ["train_missing_config", "eval_missing_checkpoint",
+                                      "eval_missing_data", "eval_truncated_checkpoint",
+                                      "eval_version_1_checkpoint", "translate_missing_sample"])
+    def test_exits_3_with_one_line(self, small_run, tmp_path, capsys, case):
+        ckpt, data, missing = small_run["checkpoint"], small_run["data"], str(tmp_path / "none")
+        with open(ckpt, "rb") as fh:
+            raw = fh.read()
+        edited = {"eval_truncated_checkpoint": raw[:-9],
+                  "eval_version_1_checkpoint": raw[:8] + struct.pack("<I", 1) + raw[12:]}
+        if case in edited:
+            ckpt = str(tmp_path / "edited.wck")
+            with open(ckpt, "wb") as fh:
+                fh.write(edited[case])
+        argv = {
+            "train_missing_config": ["train", "--config", missing, "--data", data,
+                                     "--out", str(tmp_path / "o")],
+            "eval_missing_checkpoint": ["eval", "--checkpoint", missing, "--data", data],
+            "eval_missing_data": ["eval", "--checkpoint", ckpt, "--data", missing],
+            "eval_truncated_checkpoint": ["eval", "--checkpoint", ckpt, "--data", data],
+            "eval_version_1_checkpoint": ["eval", "--checkpoint", ckpt, "--data", data],
+            "translate_missing_sample": ["translate", "--checkpoint", ckpt, "--in", missing,
+                                         "--out", str(tmp_path / "o")],
+        }[case]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestTranslate:

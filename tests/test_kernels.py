@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from warpadapt import kernels as K
-from warpadapt.autograd import Tensor, backward, grad_check, make_tensor
+from warpadapt.autograd import Tensor, backward, grad_check
 from warpadapt.checks import kernel_cases
 from warpadapt.errors import ShapeError
+
+from test_autograd import make_tensor
 
 
 def rand(shape, seed=0, lo=-2.0, hi=2.0, dtype=np.float64):
@@ -386,6 +388,10 @@ class TestGradients:
                              Tensor(grid, requires_grad=True))._backward(g)
         assert frozen[0] is None and live[0] is not None
         assert np.array_equal(frozen[1], live[1])
+        # and a grid that needs no gradient gets none; the source's is unchanged
+        fixed = K.grid_sample(Tensor(img, requires_grad=True), Tensor(grid))._backward(g)
+        assert fixed[1] is None and live[1] is not None
+        assert np.array_equal(fixed[0], live[0])
 
     def test_smooth_l1_both_branches(self):
         rng = np.random.default_rng(32)

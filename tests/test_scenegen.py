@@ -5,18 +5,43 @@ from warpadapt import scenegen
 from warpadapt.autograd import Tensor
 from warpadapt.errors import ConfigError, FormatError
 from warpadapt.scenegen import (DomainShift, SceneSample, apply_domain_shift,
-                                generate_scene, read_dataset, render_scene,
+                                generate_scene, read_dataset,
                                 sample_from_bytes, sample_to_bytes, shift_preset,
                                 split_domains, write_dataset)
 from warpadapt.warping import warp
+
+
+def render(monkeypatch, seed, composite=scenegen._composite, **kwargs):
+    """generate_scene through ``composite``, plus the (layers, owner-id map)
+    of each view it composited: left, right, next frame."""
+    views = []
+
+    def recording(layers, xs, ys, offset_of):
+        img, ids = composite(layers, xs, ys, offset_of)
+        views.append((layers, ids))
+        return img, ids
+
+    monkeypatch.setattr(scenegen, "_composite", recording)
+    return generate_scene(seed, **kwargs), views
+
+
+def stereo_valid(views):
+    """(1, 1, h, w) mask of left-view pixels whose surface the right view
+    still shows at x - d."""
+    (layers, id_left), (_, id_right), _ = views
+    h, w = id_left.shape
+    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64),
+                         indexing="ij")
+    disparity = np.array([layer.disp for layer in layers])[id_left]
+    ok, ref = scenegen._lookup_ids(id_right, xs - disparity, ys)
+    return (ok & (ref == id_left))[None, None]
 
 
 def stereo_error(sample, valid):
     """Mean |warp(right, disp, +1) - left| over stereo-visible pixels."""
     warped = warp(Tensor(sample.right), Tensor(sample.disparity), sign=1)
     err = np.abs(warped.data - sample.left).mean(axis=1, keepdims=True)
-    m = valid > 0.5
-    return err[m].mean()
+    return err[valid].mean()
 
 
 def flow_error(sample):
@@ -34,10 +59,10 @@ class TestGenerate:
         assert np.array_equal(a.right, b.right)
         assert np.array_equal(a.flow, b.flow)
 
-    def test_geometry_invariants_many_seeds(self):
+    def test_geometry_invariants_many_seeds(self, monkeypatch):
         for seed in range(30):
-            sample, diag = render_scene(seed, width=64, height=32)
-            assert stereo_error(sample, diag.stereo_valid) < 1e-2
+            sample, views = render(monkeypatch, seed, width=64, height=32)
+            assert stereo_error(sample, stereo_valid(views)) < 1e-2
             assert flow_error(sample) < 1e-2
 
     def test_field_ranges(self):
@@ -104,25 +129,20 @@ COMPOSITE_IDS = [f"seed{seed}" + "".join(f"-{k}{v}" for k, v in kwargs.items())
 class TestComposite:
     @pytest.mark.parametrize("seed, kwargs", COMPOSITE_CASES, ids=COMPOSITE_IDS)
     def test_matches_painter(self, monkeypatch, seed, kwargs):
-        got, got_diag = render_scene(seed, **kwargs)
-        monkeypatch.setattr(scenegen, "_composite", painter_composite)
-        want, want_diag = render_scene(seed, **kwargs)
+        got, got_views = render(monkeypatch, seed, **kwargs)
+        want, want_views = render(monkeypatch, seed, painter_composite, **kwargs)
         for name in ("left", "right", "next_left", "disparity", "flow", "occlusion"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert np.array_equal(got_diag.stereo_valid, want_diag.stereo_valid)
+        assert len(got_views) == len(want_views) == 3
+        for (_, got_ids), (_, want_ids) in zip(got_views, want_views):
+            assert np.array_equal(got_ids, want_ids)
 
     def test_cases_include_a_layer_that_owns_no_pixel(self, monkeypatch):
-        composite = scenegen._composite
         hidden = []
-
-        def recording(layers, xs, ys, offset_of):
-            img, ids = composite(layers, xs, ys, offset_of)
-            hidden.append(np.bincount(ids.ravel(), minlength=len(layers)).min() == 0)
-            return img, ids
-
-        monkeypatch.setattr(scenegen, "_composite", recording)
         for seed, kwargs in COMPOSITE_CASES:
-            render_scene(seed, **kwargs)
+            _, views = render(monkeypatch, seed, **kwargs)
+            hidden += [np.bincount(ids.ravel(), minlength=len(layers)).min() == 0
+                       for layers, ids in views]
         assert len(hidden) == 3 * len(COMPOSITE_CASES) and any(hidden)
 
     def test_each_pixel_textured_once(self, monkeypatch):
@@ -134,7 +154,7 @@ class TestComposite:
             return texture(tex, xs, ys)
 
         monkeypatch.setattr(scenegen, "_eval_texture", counting)
-        render_scene(4, width=128, height=64)
+        generate_scene(4, width=128, height=64)
         assert sum(textured) == 3 * 128 * 64
 
 
@@ -154,25 +174,25 @@ class TestDomainShift:
         shifted = apply_domain_shift(s, DomainShift(gamma_curve=0.7), seed=0)
         assert np.allclose(shifted.left, 0.5 ** 0.7, atol=1e-6)
 
-    def test_geometry_survives_shift(self):
+    def test_geometry_survives_shift(self, monkeypatch):
         # identical shift parameters preserve the stereo geometry; checked
         # strictly on the vignette-light preset at the design resolution
         for seed in range(10):
-            sample, diag = render_scene(seed, width=128, height=64)
+            sample, views = render(monkeypatch, seed, width=128, height=64)
             shifted = apply_domain_shift(sample, shift_preset("mild"), seed=seed)
-            assert stereo_error(shifted, diag.stereo_valid) < 1e-2
+            assert stereo_error(shifted, stereo_valid(views)) < 1e-2
             assert np.array_equal(shifted.flow, sample.flow)
 
-    def test_default_preset_vignette_bounded_inconsistency(self):
+    def test_default_preset_vignette_bounded_inconsistency(self, monkeypatch):
         # the default preset's vignette deliberately breaks cross-view
         # photometry (that is the domain gap); the residual stays within the
         # vignette's analytic bound while the fields remain untouched
         shift = shift_preset("default")
         tol = 1e-2 + 2.0 * shift.vignette_strength * 16 / 128
         for seed in range(10):
-            sample, diag = render_scene(seed, width=128, height=64)
+            sample, views = render(monkeypatch, seed, width=128, height=64)
             shifted = apply_domain_shift(sample, shift, seed=seed)
-            assert stereo_error(shifted, diag.stereo_valid) < tol
+            assert stereo_error(shifted, stereo_valid(views)) < tol
             assert np.array_equal(shifted.disparity, sample.disparity)
             assert np.array_equal(shifted.flow, sample.flow)
 

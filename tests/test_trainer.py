@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -216,6 +218,30 @@ class TestCheckpoint:
                 assert np.array_equal(p.data, loaded.nets[name].parameters()[pname].data)
         T.save_checkpoint(loaded, str(tmp_path / "resaved.wck"))
         assert open(path, "rb").read() == open(tmp_path / "resaved.wck", "rb").read()
+
+    def test_file_ends_after_iteration(self, tmp_path):
+        state = T.init_state(tiny_config())
+        state.iteration = 7
+        path = str(tmp_path / "c.wck")
+        T.save_checkpoint(state, path)
+        with open(path, "rb") as fh:
+            r = Reader(fh.read())
+        r.expect_magic(CHECKPOINT_MAGIC)
+        assert r.u32() == T.CHECKPOINT_VERSION == 2
+        for _ in range(r.u32()):
+            r.take(r.u16())
+            r.tensor()
+        assert r.u64() == 7
+        r.done()
+
+    def test_version_1_refused(self, tmp_path):
+        path = tmp_path / "c.wck"
+        T.save_checkpoint(T.init_state(tiny_config()), str(path))
+        raw = bytearray(path.read_bytes())
+        raw[len(CHECKPOINT_MAGIC):len(CHECKPOINT_MAGIC) + 4] = struct.pack("<I", 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="version 1"):
+            T.load_checkpoint(str(path))
 
     def test_wrong_magic(self, tmp_path):
         p = tmp_path / "bad.wck"
