@@ -72,19 +72,17 @@ def square(x: Tensor) -> Tensor:
     return result(x.data * x.data, (x,), lambda g: (g * 2.0 * x.data,))
 
 
-def smooth_l1(a: Tensor, b: Tensor, beta: float = 1.0) -> Tensor:
-    """Elementwise smooth-L1 map: quadratic below ``beta``, linear above."""
+def smooth_l1(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise smooth-L1 map: quadratic below 1, linear above."""
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
-    if beta <= 0:
-        raise UsageError("beta must be positive")
     d = a.data - b.data
     ad = np.abs(d)
-    quad = ad < beta
-    out = np.where(quad, 0.5 * d * d / beta, ad - 0.5 * beta).astype(a.dtype)
+    quad = ad < 1.0
+    out = np.where(quad, 0.5 * d * d, ad - 0.5).astype(a.dtype)
 
     def backward(g):
-        dd = np.where(quad, d / beta, np.sign(d))
+        dd = np.where(quad, d, np.sign(d))
         return g * dd, -g * dd
 
     return result(out, (a, b), backward)
@@ -246,6 +244,11 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int 
     return result(out, (x, w, b), backward)
 
 
+def _along(axis: int, index) -> tuple:
+    """Index of a rank-4 array that applies ``index`` on ``axis`` alone."""
+    return (slice(None),) * axis + (index,) + (slice(None),) * (3 - axis)
+
+
 # -- fixed-window blur (used by SSIM) -----------------------------------------
 
 def _gaussian_window(size: int, sigma: float, dtype) -> np.ndarray:
@@ -261,11 +264,9 @@ def _blur_axis(v: np.ndarray, win: np.ndarray, axis: int) -> np.ndarray:
     pads[axis] = (half, half)
     vp = np.pad(v, pads)
     out = np.zeros_like(v)
-    sl = [slice(None)] * 4
     n = v.shape[axis]
     for k in range(win.size):
-        sl[axis] = slice(k, k + n)
-        out += win[k] * vp[tuple(sl)]
+        out += win[k] * vp[_along(axis, slice(k, k + n))]
     return out
 
 
@@ -312,37 +313,25 @@ def _up2_axis(v: np.ndarray, axis: int) -> np.ndarray:
     out_shape = list(v.shape)
     out_shape[axis] *= 2
     out = np.empty(out_shape, dtype=v.dtype)
-    sl_e = [slice(None)] * 4
-    sl_o = [slice(None)] * 4
-    sl_e[axis] = slice(0, None, 2)
-    sl_o[axis] = slice(1, None, 2)
-    out[tuple(sl_e)] = even
-    out[tuple(sl_o)] = odd
+    out[_along(axis, slice(0, None, 2))] = even
+    out[_along(axis, slice(1, None, 2))] = odd
     return out
 
 
 def _up2_axis_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
-    sl_e = [slice(None)] * 4
-    sl_o = [slice(None)] * 4
-    sl_e[axis] = slice(0, None, 2)
-    sl_o[axis] = slice(1, None, 2)
-    ge = g[tuple(sl_e)]
-    go = g[tuple(sl_o)]
+    ge = g[_along(axis, slice(0, None, 2))]
+    go = g[_along(axis, slice(1, None, 2))]
     dv = 0.75 * ge + 0.75 * go
     # shift contributions: in[i] gets 0.25*ge[i+1] (as prev) and 0.25*go[i-1] (as next)
-    first = [slice(None)] * 4
-    rest = [slice(None)] * 4
-    first[axis] = slice(0, -1)
-    rest[axis] = slice(1, None)
-    dv[tuple(first)] += 0.25 * ge[tuple(rest)]
-    dv[tuple(rest)] += 0.25 * go[tuple(first)]
+    first = _along(axis, slice(0, -1))
+    rest = _along(axis, slice(1, None))
+    dv[first] += 0.25 * ge[rest]
+    dv[rest] += 0.25 * go[first]
     # edge replication folds the clamped taps back onto the border samples
-    edge0 = [slice(None)] * 4
-    edge0[axis] = slice(0, 1)
-    edge1 = [slice(None)] * 4
-    edge1[axis] = slice(-1, None)
-    dv[tuple(edge0)] += 0.25 * ge[tuple(edge0)]
-    dv[tuple(edge1)] += 0.25 * go[tuple(edge1)]
+    edge0 = _along(axis, slice(0, 1))
+    edge1 = _along(axis, slice(-1, None))
+    dv[edge0] += 0.25 * ge[edge0]
+    dv[edge1] += 0.25 * go[edge1]
     return dv
 
 
@@ -378,6 +367,8 @@ def grid_sample(x: Tensor, grid: Tensor) -> Tensor:
     fy = (gy - y0).astype(x.dtype)
 
     taps = []
+    corners = []  # the corner values, kept only for the grid gradient
+    out = np.zeros((bs, ho, wo, c), dtype=x.dtype)
     bidx = np.arange(bs).reshape(bs, 1, 1)
     for dy, dx_, wgt in (
         (0, 0, (1 - fy) * (1 - fx)),
@@ -393,11 +384,10 @@ def grid_sample(x: Tensor, grid: Tensor) -> Tensor:
         # advanced indexing puts the broadcast dims first: (b, ho, wo, c)
         vals = x.data[bidx, :, yc, xc]
         vals[~ok] = 0
-        taps.append((wgt, vals, ok, yc, xc))
-
-    out = np.zeros((bs, ho, wo, c), dtype=x.dtype)
-    for wgt, vals, _, _, _ in taps:
         out += wgt[:, :, :, None] * vals
+        taps.append((wgt, ok, yc, xc))
+        if grid.requires_grad:
+            corners.append(vals)
     out = out.transpose(0, 3, 1, 2)
 
     def backward(g):
@@ -405,7 +395,7 @@ def grid_sample(x: Tensor, grid: Tensor) -> Tensor:
         dinput = None
         if x.requires_grad:
             dx_total = np.zeros(bs * c * h * w, dtype=np.float64)
-            for wgt, _, ok, yc, xc in taps:
+            for wgt, ok, yc, xc in taps:
                 contrib = gt * wgt[:, :, :, None]
                 contrib[~ok] = 0
                 cidx = np.arange(c).reshape(1, 1, 1, c)
@@ -416,7 +406,7 @@ def grid_sample(x: Tensor, grid: Tensor) -> Tensor:
 
         dgrid = None
         if grid.requires_grad:
-            v00, v01, v10, v11 = (t[1] for t in taps)
+            v00, v01, v10, v11 = corners
             dgx = (1 - fy)[:, :, :, None] * (v01 - v00) + fy[:, :, :, None] * (v11 - v10)
             dgy = (1 - fx)[:, :, :, None] * (v10 - v00) + fx[:, :, :, None] * (v11 - v01)
             dgrid = np.stack(
@@ -450,15 +440,10 @@ def correlation(a: Tensor, b: Tensor, max_disp: int, axis: int = 3,
 
     def shifted_slices(k):
         # returns (dst, src) slices with dst on a/output, src on b: b indexed at p - k
-        sl_dst = [slice(None)] * 4
-        sl_src = [slice(None)] * 4
+        n = a.shape[axis]
         if k >= 0:
-            sl_dst[axis] = slice(k, None)
-            sl_src[axis] = slice(0, a.shape[axis] - k)
-        else:
-            sl_dst[axis] = slice(0, a.shape[axis] + k)
-            sl_src[axis] = slice(-k, None)
-        return tuple(sl_dst), tuple(sl_src)
+            return _along(axis, slice(k, None)), _along(axis, slice(0, n - k))
+        return _along(axis, slice(0, n + k)), _along(axis, slice(-k, None))
 
     out = np.zeros(out_shape, dtype=a.dtype)
     for j, k in enumerate(disps):

@@ -57,13 +57,6 @@ BREAKDOWN_KEYS = (
 )
 
 
-def _need(parts: dict, key: str) -> Tensor:
-    try:
-        return parts[key]
-    except KeyError:
-        raise UsageError(f"missing loss part {key!r}") from None
-
-
 # -- individual terms ----------------------------------------------------------
 
 def adversarial_loss(d_real: Tensor, d_fake: Tensor):
@@ -141,23 +134,23 @@ def translation_objective(parts: dict, w: LossWeights):
     adversarial generator terms with the cycle, perceptual and cosine terms,
     and is scaled as a whole inside the total.
     """
-    translation = (_need(parts, "adv_syn2real_gen") + _need(parts, "adv_real2syn_gen")
-                   + _need(parts, "cycle") * w.lambda_cycle
-                   + _need(parts, "perceptual") * w.lambda_perceptual
-                   + _need(parts, "cosine") * w.lambda_cosine)
+    translation = (parts["adv_syn2real_gen"] + parts["adv_real2syn_gen"]
+                   + parts["cycle"] * w.lambda_cycle
+                   + parts["perceptual"] * w.lambda_perceptual
+                   + parts["cosine"] * w.lambda_cosine)
     total = (translation * w.lambda_translation
-             + _need(parts, "disp_warp_syn") * w.lambda_disp_warp_syn
-             + _need(parts, "flow_warp_syn") * w.lambda_flow_warp_syn
-             + _need(parts, "corr_consistency") * w.lambda_corr
-             + _need(parts, "mode_seeking") * w.lambda_ms)
+             + parts["disp_warp_syn"] * w.lambda_disp_warp_syn
+             + parts["flow_warp_syn"] * w.lambda_flow_warp_syn
+             + parts["corr_consistency"] * w.lambda_corr
+             + parts["mode_seeking"] * w.lambda_ms)
     return total, translation
 
 
 def stereo_objective(parts: dict, w: LossWeights) -> Tensor:
-    return (_need(parts, "disp_supervised") * w.lambda_disp
-            + _need(parts, "disp_warp_real") * w.lambda_disp_warp_real)
+    return (parts["disp_supervised"] * w.lambda_disp
+            + parts["disp_warp_real"] * w.lambda_disp_warp_real)
 
 
 def flow_objective(parts: dict, w: LossWeights) -> Tensor:
-    return (_need(parts, "flow_supervised") * w.lambda_flow
-            + _need(parts, "flow_warp_real") * w.lambda_flow_warp_real)
+    return (parts["flow_supervised"] * w.lambda_flow
+            + parts["flow_warp_real"] * w.lambda_flow_warp_real)

@@ -4,6 +4,8 @@ feature extractor for perceptual distances.
 
 All parameters initialize uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)] from
 the network's seeded generator, so identical seeds give identical networks.
+The widths and displacement ranges are range-checked once, by
+``trainer.TrainConfig``.
 """
 
 from __future__ import annotations
@@ -12,32 +14,23 @@ import numpy as np
 
 from . import kernels as K
 from .autograd import Tensor, concat, split
-from .errors import ConfigError
 
 
 class Network:
     """Named parameter bag; subclasses define forward passes."""
 
-    def __init__(self, seed: int, frozen: bool = False):
-        self.frozen = frozen
+    def __init__(self, seed: int):
         self.params: dict[str, Tensor] = {}
         self._rng = np.random.default_rng(np.random.PCG64(seed))
 
-    def _conv(self, name: str, cin: int, cout: int, k: int):
+    def _layer(self, name: str, cin: int, cout: int, k: int = 3, transposed: bool = False):
+        """Weight (cout, cin, k, k), or (cin, cout, k, k) when transposed, then
+        the (1, cout, 1, 1) bias, both drawn in that order."""
         bound = 1.0 / np.sqrt(cin * k * k)
-        w = self._rng.uniform(-bound, bound, size=(cout, cin, k, k)).astype(np.float32)
-        b = self._rng.uniform(-bound, bound, size=(1, cout, 1, 1)).astype(np.float32)
-        req = not self.frozen
-        self.params[name + ".w"] = Tensor(w, requires_grad=req)
-        self.params[name + ".b"] = Tensor(b, requires_grad=req)
-
-    def _deconv(self, name: str, cin: int, cout: int, k: int = 4):
-        bound = 1.0 / np.sqrt(cin * k * k)
-        w = self._rng.uniform(-bound, bound, size=(cin, cout, k, k)).astype(np.float32)
-        b = self._rng.uniform(-bound, bound, size=(1, cout, 1, 1)).astype(np.float32)
-        req = not self.frozen
-        self.params[name + ".w"] = Tensor(w, requires_grad=req)
-        self.params[name + ".b"] = Tensor(b, requires_grad=req)
+        shape = (cin, cout, k, k) if transposed else (cout, cin, k, k)
+        for suffix, size in ((".w", shape), (".b", (1, cout, 1, 1))):
+            value = self._rng.uniform(-bound, bound, size=size).astype(np.float32)
+            self.params[name + suffix] = Tensor(value, requires_grad=True)
 
     def conv(self, name: str, x: Tensor, stride: int = 1) -> Tensor:
         return K.conv2d(x, self.params[name + ".w"], self.params[name + ".b"],
@@ -50,10 +43,6 @@ class Network:
     def parameters(self) -> dict[str, Tensor]:
         return self.params
 
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for name, tensor in self.params.items():
-            tensor.data = values[name].astype(np.float32).reshape(tensor.shape)
-
 
 class Generator(Network):
     """Residual encoder-decoder translator, output in [0, 1].
@@ -63,17 +52,15 @@ class Generator(Network):
     """
 
     def __init__(self, seed: int, channels_base: int = 8):
-        if channels_base < 4:
-            raise ConfigError(f"channels_base must be >= 4, got {channels_base}")
         super().__init__(seed)
-        cb = self.cb = channels_base
-        self._conv("enc1", 3, cb, 3)
-        self._conv("enc2", cb, 2 * cb, 3)
+        cb = channels_base
+        self._layer("enc1", 3, cb)
+        self._layer("enc2", cb, 2 * cb)
         for i in range(3):
-            self._conv(f"res{i}a", 2 * cb, 2 * cb, 3)
-            self._conv(f"res{i}b", 2 * cb, 2 * cb, 3)
-        self._deconv("dec1", 2 * cb, cb)
-        self._deconv("dec2", cb, 3)
+            self._layer(f"res{i}a", 2 * cb, 2 * cb)
+            self._layer(f"res{i}b", 2 * cb, 2 * cb)
+        self._layer("dec1", 2 * cb, cb, 4, transposed=True)
+        self._layer("dec2", cb, 3, 4, transposed=True)
 
     def forward(self, x: Tensor, need_output: bool = True):
         e1 = K.leaky_relu(self.conv("enc1", x, stride=2), 0.1)
@@ -97,14 +84,12 @@ class Discriminator(Network):
     """Four stride-2 convolutions to a one-channel sigmoid patch map."""
 
     def __init__(self, seed: int, channels_base: int = 8):
-        if channels_base < 4:
-            raise ConfigError(f"channels_base must be >= 4, got {channels_base}")
         super().__init__(seed)
-        cb = self.cb = channels_base
-        self._conv("c1", 3, cb, 3)
-        self._conv("c2", cb, 2 * cb, 3)
-        self._conv("c3", 2 * cb, 4 * cb, 3)
-        self._conv("c4", 4 * cb, 1, 3)
+        cb = channels_base
+        self._layer("c1", 3, cb)
+        self._layer("c2", cb, 2 * cb)
+        self._layer("c3", 2 * cb, 4 * cb)
+        self._layer("c4", 4 * cb, 1)
 
     def forward(self, x: Tensor) -> Tensor:
         h = K.leaky_relu(self.conv("c1", x, stride=2), 0.2)
@@ -116,16 +101,19 @@ class Discriminator(Network):
 class _PyramidNet(Network):
     """Shared two-scale encoder plus a three-stage coarse-to-fine decoder."""
 
-    def __init__(self, seed: int, channels_base: int):
-        if channels_base < 4:
-            raise ConfigError(f"channels_base must be >= 4, got {channels_base}")
+    def __init__(self, seed: int, channels_base: int, corr_ch: int, out_ch: int):
         super().__init__(seed)
-        self.cb = channels_base
-
-    def _build_encoder(self):
-        cb = self.cb
-        self._conv("enc1", 3, cb, 3)
-        self._conv("enc2", cb, 2 * cb, 3)
+        cb = channels_base
+        self._layer("enc1", 3, cb)
+        self._layer("enc2", cb, 2 * cb)
+        self._layer("dq", corr_ch + 2 * cb, 2 * cb)
+        self._layer("pq", 2 * cb, out_ch)
+        self._layer("uh", 2 * cb, cb, 4, transposed=True)
+        self._layer("dh", cb + cb + out_ch, cb)
+        self._layer("ph", cb, out_ch)
+        self._layer("uf", cb, cb, 4, transposed=True)
+        self._layer("df", cb + 3 + out_ch, cb)
+        self._layer("pf", cb, out_ch)
 
     def _encode(self, img_a: Tensor, img_b: Tensor):
         """Both frames in one pass: frame a's 1/2- and 1/4-scale features, then
@@ -140,17 +128,6 @@ class _PyramidNet(Network):
         # structure independent of local feature magnitude; without this the
         # displacement signal is too weak to train at desk scale
         return f / K.sqrt(K.square(f).mean(axis=1) + 1e-6)
-
-    def _build_decoder(self, corr_ch: int, out_ch: int):
-        cb = self.cb
-        self._conv("dq", corr_ch + 2 * cb, 2 * cb, 3)
-        self._conv("pq", 2 * cb, out_ch, 3)
-        self._deconv("uh", 2 * cb, cb)
-        self._conv("dh", cb + cb + out_ch, cb, 3)
-        self._conv("ph", cb, out_ch, 3)
-        self._deconv("uf", cb, cb)
-        self._conv("df", cb + 3 + out_ch, cb, 3)
-        self._conv("pf", cb, out_ch, 3)
 
     def _decode(self, corr: Tensor, f2: Tensor, f1: Tensor, img: Tensor, rectify):
         tq = K.leaky_relu(self.conv("dq", concat([corr, f2])), 0.1)
@@ -168,13 +145,8 @@ class StereoNet(_PyramidNet):
     """Correlation-based disparity estimator; stages are non-negative."""
 
     def __init__(self, seed: int, max_disp: int = 16, channels_base: int = 8):
-        if max_disp < 4 or max_disp % 4:
-            raise ConfigError(f"max_disp must be >= 4 and divisible by 4, got {max_disp}")
-        super().__init__(seed, channels_base)
-        self.max_disp = max_disp
         self.corr_disp = max_disp // 4
-        self._build_encoder()
-        self._build_decoder(self.corr_disp + 1, 1)
+        super().__init__(seed, channels_base, self.corr_disp + 1, 1)
 
     def forward(self, left: Tensor, right: Tensor):
         f1l, f2l, nl, nr = self._encode(left, right)
@@ -186,13 +158,8 @@ class FlowNet(_PyramidNet):
     """Two-frame flow estimator with signed horizontal+vertical correlation."""
 
     def __init__(self, seed: int, max_flow: int = 8, channels_base: int = 8):
-        if max_flow < 4 or max_flow % 4:
-            raise ConfigError(f"max_flow must be >= 4 and divisible by 4, got {max_flow}")
-        super().__init__(seed, channels_base)
-        self.max_flow = max_flow
-        self.corr_disp = max(1, max_flow // 4)
-        self._build_encoder()
-        self._build_decoder(2 * (2 * self.corr_disp + 1), 2)
+        self.corr_disp = max_flow // 4
+        super().__init__(seed, channels_base, 2 * (2 * self.corr_disp + 1), 2)
 
     def forward(self, frame_t: Tensor, frame_t1: Tensor):
         f1a, f2a, na, nb = self._encode(frame_t, frame_t1)
@@ -207,10 +174,12 @@ class Extractor(Network):
     with channel counts 8, 16, 32."""
 
     def __init__(self, seed: int = 77):
-        super().__init__(seed, frozen=True)
-        self._conv("c1", 3, 8, 3)
-        self._conv("c2", 8, 16, 3)
-        self._conv("c3", 16, 32, 3)
+        super().__init__(seed)
+        self._layer("c1", 3, 8)
+        self._layer("c2", 8, 16)
+        self._layer("c3", 16, 32)
+        for p in self.params.values():
+            p.requires_grad = False
 
     def features(self, image: Tensor):
         t1 = K.leaky_relu(self.conv("c1", image), 0.1)

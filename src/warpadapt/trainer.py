@@ -78,6 +78,14 @@ class TrainConfig:
         if not (math.isfinite(self.flow_weight_decay) and self.flow_weight_decay >= 0):
             raise ConfigError(f"flow_weight_decay must be finite and >= 0, "
                               f"got {self.flow_weight_decay}")
+        if not 0.0 < self.gamma_stages <= 1.0:  # also false for nan
+            raise ConfigError(f"gamma_stages must be in (0, 1], got {self.gamma_stages}")
+        if self.channels_base < 4:
+            raise ConfigError(f"channels_base must be >= 4, got {self.channels_base}")
+        for name in ("max_disp", "max_flow"):
+            value = getattr(self, name)
+            if value < 4 or value % 4:
+                raise ConfigError(f"{name} must be >= 4 and divisible by 4, got {value}")
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
@@ -260,8 +268,14 @@ def _optimize(state: TrainState, loss: Tensor, *stepped: str) -> None:
         opt.zero_grad()
 
 
-def _zeros_breakdown():
-    return {k: np.float32(0.0) for k in L.BREAKDOWN_KEYS}
+def _breakdown(terms: dict) -> dict:
+    """The full BREAKDOWN_KEYS record of one step: its terms, zero elsewhere."""
+    return {k: np.float32(terms[k].item()) if k in terms else np.float32(0.0)
+            for k in L.BREAKDOWN_KEYS}
+
+
+def _zero() -> Tensor:
+    return Tensor(np.zeros((1, 1, 1, 1), dtype=np.float32))
 
 
 def translation_step(state: TrainState, syn: dict, real: dict) -> dict:
@@ -320,21 +334,13 @@ def translation_step(state: TrainState, syn: dict, real: dict) -> dict:
     total, translation = L.translation_objective(parts, w)
     _optimize(state, total, "gen")
 
-    out = _zeros_breakdown()
-    for key, val in parts.items():
-        out[key] = np.float32(val.item())
-    out["adv_syn2real_disc"] = np.float32(disc_b.item())
-    out["adv_real2syn_disc"] = np.float32(disc_a.item())
-    out["translation"] = np.float32(translation.item())
-    out["translation_total"] = np.float32(total.item())
-    return out
+    return _breakdown({**parts, "adv_syn2real_disc": disc_b, "adv_real2syn_disc": disc_a,
+                       "translation": translation, "translation_total": total})
 
 
 def _maybe(weight: float, fn):
     """Skip computing a term whose weight is zero (ablations)."""
-    if weight == 0.0:
-        return Tensor(np.zeros((1, 1, 1, 1), dtype=np.float32))
-    return fn()
+    return _zero() if weight == 0.0 else fn()
 
 
 def task_step(state: TrainState, syn: dict, real: dict | None) -> dict:
@@ -356,10 +362,8 @@ def task_step(state: TrainState, syn: dict, real: dict | None) -> dict:
     flow_sup = L.supervised_flow_loss(stages_f, syn["flow"], syn["occlusion"],
                                       cfg.gamma_stages)
 
-    zero = Tensor(np.zeros((1, 1, 1, 1), dtype=np.float32))
-    disp_warp = zero
-    flow_warp = zero
-    if not source_only and real is not None:
+    disp_warp = flow_warp = _zero()
+    if not source_only:
         y_l, y_r, y_t1 = real["left"], real["right"], real["next_left"]
         with no_grad():
             _, taps = nets["gen_b2a"].forward(concat([y_l, y_r, y_t1], axis=0), need_output=False)
@@ -380,12 +384,7 @@ def task_step(state: TrainState, syn: dict, real: dict | None) -> dict:
 
     _optimize(state, total_d + total_f, "stereo", "flow")
 
-    out = _zeros_breakdown()
-    for key, val in parts.items():
-        out[key] = np.float32(val.item())
-    out["stereo_total"] = np.float32(total_d.item())
-    out["flow_total"] = np.float32(total_f.item())
-    return out
+    return _breakdown({**parts, "stereo_total": total_d, "flow_total": total_f})
 
 
 def train_step(state: TrainState, syn: dict, real: dict | None) -> dict:
@@ -455,7 +454,9 @@ def load_checkpoint(path: str, config: TrainConfig | None = None) -> TrainState:
     Passing the run's config restores bit-exact hyperparameters for continued
     training; without it the float32 copy embedded in the checkpoint is used,
     which is sufficient for evaluation and translation. A config whose
-    SHAPE_KEYS differ from the embedded ones raises ConfigError.
+    SHAPE_KEYS differ from the embedded ones raises ConfigError. The file must
+    hold exactly the records ``_state_records`` lists for that config, each in
+    its shape; anything else raises FormatError.
     """
     with open(path, "rb") as fh:
         r = Reader(fh.read(), label=os.path.basename(path))
@@ -463,17 +464,22 @@ def load_checkpoint(path: str, config: TrainConfig | None = None) -> TrainState:
     version = r.u32()
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
-    count = r.u32()
     records = {}
-    for _ in range(count):
-        nlen = r.u16()
-        name = r.take(nlen).decode()
+    for _ in range(r.u32()):
+        name = r.take(r.u16()).decode()
+        if name in records:
+            raise FormatError(f"{r.label}: duplicate record {name!r}")
         records[name] = r.tensor()
     iteration = r.u64()
     r.done()
 
+    def record(name):
+        if name not in records:
+            raise FormatError(f"{r.label}: missing record {name!r}")
+        return records[name]
+
     def cfgval(key):
-        return float(records[_config_record_name(key)].reshape(-1)[0])
+        return float(record(_config_record_name(key)).reshape(-1)[0])
 
     if config is None:
         config = config_from_flat({
@@ -486,12 +492,18 @@ def load_checkpoint(path: str, config: TrainConfig | None = None) -> TrainState:
 
     state = init_state(config)
     state.iteration = iteration
-    for net_name, net in state.nets.items():
-        net.load_values({p: records[f"net.{net_name}.{p}"] for p in net.parameters()})
+    # parameters and Adam moments are live arrays of the state; the scalars
+    # are copies, so the step counts and running averages are read below
+    live = _state_records(state)
+    for name, arr in live.items():
+        if record(name).shape != arr.shape:
+            raise FormatError(f"{r.label}: record {name!r} has shape {records[name].shape}, "
+                              f"expected {arr.shape}")
+        arr[...] = records[name]
+    extra = [name for name in records if name not in live]
+    if extra:
+        raise FormatError(f"{r.label}: unexpected record {extra[0]!r}")
     for opt_name, opt in state.opts.items():
-        for pname in opt.moments["m"]:
-            opt.moments["m"][pname] = records[f"opt.{opt_name}.m.{pname}"].astype(np.float32)
-            opt.moments["v"][pname] = records[f"opt.{opt_name}.v.{pname}"].astype(np.float32)
         opt.moments["t"] = int(records[f"opt.{opt_name}.t"].reshape(-1)[0])
     for key in state.running:
         state.running[key] = records[f"avg.{key}"].reshape(-1)[0]

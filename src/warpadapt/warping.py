@@ -99,8 +99,6 @@ def stagewise_warp_loss(stages, target: Tensor, gamma: float = 0.9,
     """
     if not stages:
         raise UsageError("empty stage list")
-    if not 0.0 < gamma <= 1.0:
-        raise UsageError(f"gamma must be in (0, 1], got {gamma}")
     n = len(stages)
     total = None
     for s, stage in enumerate(stages):

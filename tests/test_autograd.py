@@ -98,11 +98,6 @@ class TestGradCheck:
         err = grad_check(lambda t: ag.mul(t, t).mean(), x, step=1e-3)
         assert err < 1e-8
 
-    def test_sampled_subset(self):
-        x = rand((1, 4, 8, 8), seed=3)
-        err = grad_check(lambda t: ag.mul(t, t).mean(), x, step=1e-3, sample=16)
-        assert err < 1e-8
-
 
 class TestBroadcast:
     def test_scalar_broadcast_binary(self):

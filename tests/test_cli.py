@@ -114,11 +114,16 @@ class TestTrain:
         (["--adam_beta1", "nan"], None),
         (["--flow_weight_decay", "-1"], None),
         (["--total_iters", "-3"], None),
+        (["--channels_base", "2"], None),
+        (["--max_disp", "6"], None),
+        (["--max_flow", "3"], None),
+        (["--gamma_stages", "2", "--total_iters", "0"], None),
     ], ids=["k_not_int", "weight_not_float", "batch_size_0", "val_count_negative",
             "unknown_objective", "config_file_k_not_int", "seed_negative",
             "eval_every_negative", "lr_disp_nan", "lr_flow_inf", "weight_nan",
             "adam_beta2_above_1", "adam_beta1_nan", "flow_weight_decay_negative",
-            "total_iters_negative"])
+            "total_iters_negative", "channels_base_2", "max_disp_6", "max_flow_3",
+            "gamma_stages_2_no_steps"])
     def test_bad_value_exits_2(self, tmp_path, small_run, capsys, overrides, config_text):
         # a valid one-step run but for the value under test, so only that value
         # can cause the exit code
@@ -176,13 +181,15 @@ class TestEval:
 class TestDataErrors:
     @pytest.mark.parametrize("case", ["train_missing_config", "eval_missing_checkpoint",
                                       "eval_missing_data", "eval_truncated_checkpoint",
-                                      "eval_version_1_checkpoint", "translate_missing_sample"])
+                                      "eval_version_1_checkpoint", "translate_missing_sample",
+                                      "eval_renamed_record"])
     def test_exits_3_with_one_line(self, small_run, tmp_path, capsys, case):
         ckpt, data, missing = small_run["checkpoint"], small_run["data"], str(tmp_path / "none")
         with open(ckpt, "rb") as fh:
             raw = fh.read()
         edited = {"eval_truncated_checkpoint": raw[:-9],
-                  "eval_version_1_checkpoint": raw[:8] + struct.pack("<I", 1) + raw[12:]}
+                  "eval_version_1_checkpoint": raw[:8] + struct.pack("<I", 1) + raw[12:],
+                  "eval_renamed_record": raw.replace(b"net.stereo.", b"nXt.stereo.")}
         if case in edited:
             ckpt = str(tmp_path / "edited.wck")
             with open(ckpt, "wb") as fh:
@@ -196,6 +203,7 @@ class TestDataErrors:
             "eval_version_1_checkpoint": ["eval", "--checkpoint", ckpt, "--data", data],
             "translate_missing_sample": ["translate", "--checkpoint", ckpt, "--in", missing,
                                          "--out", str(tmp_path / "o")],
+            "eval_renamed_record": ["eval", "--checkpoint", ckpt, "--data", data],
         }[case]
         capsys.readouterr()
         assert main(argv) == 3

@@ -120,12 +120,12 @@ class TestPointwise:
     def test_smooth_l1_quadratic_branch(self):
         a = make_tensor((1, 1, 1, 1), [0.5])
         b = make_tensor((1, 1, 1, 1), [0.0])
-        assert K.smooth_l1(a, b, beta=1.0).item() == pytest.approx(0.125)
+        assert K.smooth_l1(a, b).item() == pytest.approx(0.125)
 
     def test_smooth_l1_linear_branch(self):
         a = make_tensor((1, 1, 1, 1), [2.5])
         b = make_tensor((1, 1, 1, 1), [0.0])
-        assert K.smooth_l1(a, b, beta=1.0).item() == pytest.approx(2.0)
+        assert K.smooth_l1(a, b).item() == pytest.approx(2.0)
 
     def test_activations_match_numpy(self):
         x = rand((1, 2, 3, 4), seed=5)

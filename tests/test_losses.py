@@ -207,10 +207,6 @@ class TestObjectives:
         assert L.stereo_objective(parts, w).item() == pytest.approx(6.0)
         assert L.flow_objective(parts, w).item() == pytest.approx(6.0)
 
-    def test_missing_part(self):
-        with pytest.raises(UsageError):
-            L.stereo_objective({"disp_supervised": const((1, 1, 1, 1), 1.0)}, L.LossWeights())
-
     def test_reconstruction_identity_random_parts(self):
         rng = np.random.default_rng(33)
         w = L.LossWeights()

@@ -5,6 +5,7 @@ from warpadapt import kernels as K
 from warpadapt.autograd import Tensor, backward, concat, no_grad
 from warpadapt.errors import ConfigError
 from warpadapt.networks import Discriminator, Extractor, FlowNet, Generator, StereoNet
+from warpadapt.trainer import TrainConfig
 
 
 def rand_img(shape, seed=0):
@@ -37,8 +38,8 @@ class TestGenerator:
         assert [t.shape[2:] for t in taps] == [(32, 64), (16, 32), (16, 32)]
 
     def test_channels_base_floor(self):
-        with pytest.raises(ConfigError):
-            Generator(seed=1, channels_base=2)
+        with pytest.raises(ConfigError, match="channels_base"):
+            TrainConfig(channels_base=2)
 
 
 class TestDiscriminator:
@@ -77,10 +78,10 @@ class TestStereoNet:
             assert np.all(s.data >= 0)
 
     def test_max_disp_validation(self):
-        with pytest.raises(ConfigError):
-            StereoNet(seed=1, max_disp=6)
-        with pytest.raises(ConfigError):
-            StereoNet(seed=1, max_disp=2)
+        with pytest.raises(ConfigError, match="max_disp"):
+            TrainConfig(max_disp=6)
+        with pytest.raises(ConfigError, match="max_disp"):
+            TrainConfig(max_disp=2)
 
 
 class TestFlowNet:

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from warpadapt import trainer as T
 from warpadapt.autograd import Tensor
-from warpadapt.dataio import CHECKPOINT_MAGIC, Reader
+from warpadapt.dataio import CHECKPOINT_MAGIC, Reader, pack_tensor
 from warpadapt.errors import ConfigError, FormatError
 from warpadapt.losses import LossWeights
 from warpadapt.scenegen import apply_domain_shift, generate_scene, shift_preset, write_dataset
@@ -241,6 +242,51 @@ class TestCheckpoint:
         raw[len(CHECKPOINT_MAGIC):len(CHECKPOINT_MAGIC) + 4] = struct.pack("<I", 1)
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="version 1"):
+            T.load_checkpoint(str(path))
+
+    @staticmethod
+    def _rehead(raw: bytes, name: bytes, shape: tuple) -> bytes:
+        """Rewrite the extents of one record, keeping its payload."""
+        at = raw.index(struct.pack("<H", len(name)) + name) + 2 + len(name)
+        return raw[:at] + struct.pack("<B4I", 4, *shape) + raw[at + 17:]
+
+    @staticmethod
+    def _append(raw: bytes, name: bytes) -> bytes:
+        """Append one more record and count it in the header."""
+        rec = struct.pack("<H", len(name)) + name + pack_tensor(np.zeros((1, 1, 1, 1)))
+        count = struct.unpack_from("<I", raw, 12)[0]
+        return raw[:12] + struct.pack("<I", count + 1) + raw[16:-8] + rec + raw[-8:]
+
+    @pytest.mark.parametrize("case, record", [
+        ("renamed", "net.stereo.enc1.w"),
+        ("param_reshaped", "net.stereo.enc1.b"),
+        ("moment_reshaped", "opt.stereo.m.enc1.b"),
+        ("extra_record", "net.extra.w"),
+        ("duplicate_record", "net.stereo.enc1.w"),
+    ])
+    def test_corrupted_records_refused(self, tmp_path, case, record):
+        # channels_base 8 gives enc1.b 8 elements, so the re-headed (1, 4, 1, 2)
+        # record keeps its payload size and the framing stays valid
+        cfg = tiny_config(channels_base=8)
+        path = tmp_path / "c.wck"
+        T.save_checkpoint(T.init_state(cfg), str(path))
+        raw = path.read_bytes()
+        path.write_bytes({
+            "renamed": lambda: raw.replace(b"net.stereo.", b"nXt.stereo."),
+            "param_reshaped": lambda: self._rehead(raw, b"net.stereo.enc1.b", (1, 4, 1, 2)),
+            "moment_reshaped": lambda: self._rehead(raw, b"opt.stereo.m.enc1.b", (1, 4, 1, 2)),
+            "extra_record": lambda: self._append(raw, b"net.extra.w"),
+            "duplicate_record": lambda: self._append(raw, b"net.stereo.enc1.w"),
+        }[case]())
+        for config in (None, cfg):
+            with pytest.raises(FormatError, match=re.escape(repr(record))):
+                T.load_checkpoint(str(path), config)
+
+    def test_missing_config_record_refused(self, tmp_path):
+        path = tmp_path / "c.wck"
+        T.save_checkpoint(T.init_state(tiny_config()), str(path))
+        path.write_bytes(path.read_bytes().replace(b"cfg.max_flow", b"cfg.max_flXw"))
+        with pytest.raises(FormatError, match="cfg.max_flow"):
             T.load_checkpoint(str(path))
 
     def test_wrong_magic(self, tmp_path):
