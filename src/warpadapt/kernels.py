@@ -5,10 +5,14 @@ Each kernel pairs a forward rule with a matched backward rule; composites
 the graph. conv2d and conv_transpose2d share one correlate core (one GEMM per
 kernel tap) and are each other's adjoint: the forward pass of one is the input
 gradient of the other. At stride 1 every tap reads a unit-stride window of the
-padded input viewed as one flat matrix, so no tap copies its input.
+padded input viewed as one flat matrix, so no tap copies its input. A tap
+that sums over a single channel is a broadcast outer product, not a GEMM. The
+Gaussian blur under SSIM is a product with a cached banded matrix per axis.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -19,9 +23,11 @@ from .errors import ShapeError, UsageError
 # -- pointwise ----------------------------------------------------------------
 
 def leaky_relu(x: Tensor, slope: float = 0.1) -> Tensor:
-    pos = x.data > 0
-    out = np.where(pos, x.data, x.data * np.asarray(slope, x.dtype.type))
-    return result(out, (x,), lambda g: (np.where(pos, g, g * np.asarray(slope, x.dtype.type)),))
+    """x where x > 0, else slope * x; computed as max(x, slope * x), which is
+    the same bits for 0 < slope <= 1 (at 0, inf * 0 would give nan)."""
+    s = np.asarray(slope, x.dtype.type)
+    out = np.maximum(x.data, x.data * s)
+    return result(out, (x,), lambda g: (np.where(x.data > 0, g, g * s),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -135,6 +141,12 @@ def _taps(a: np.ndarray, kh: int, kw: int, stride: int):
                           j:j + stride * (wo - 1) + 1:stride]
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``. With inner dimension 1 it is the broadcast outer product:
+    the same bits, without BLAS's slow path for that shape."""
+    return a * b if a.shape[1] == 1 else a @ b
+
+
 def _correlate(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     """Valid strided correlation: (cin, b, H, W) with (cout, cin, kh, kw) -> (cout, b, ho, wo)."""
     cin, bs, hp, wp = xp.shape
@@ -143,7 +155,7 @@ def _correlate(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     wo = (wp - kw) // stride + 1
     out = 0
     for i, j, tap in _taps(xp, kh, kw, stride):
-        out += w[:, :, i, j] @ tap.reshape(cin, -1)
+        out += _matmul(w[:, :, i, j], tap.reshape(cin, -1))
     if stride > 1:
         return out.reshape(cout, bs, ho, wo)
     grid = np.empty((cout, bs * hp * wp), dtype=out.dtype)
@@ -164,7 +176,7 @@ def _correlate_adjoint(g: np.ndarray, w: np.ndarray, stride: int,
     gm = g.reshape(cout, -1)
     out = np.zeros((cin, bs, hp, wp), dtype=np.result_type(g, w))
     for i, j, tap in _taps(out, kh, kw, stride):
-        tap += (w[:, :, i, j].T @ gm).reshape(tap.shape)
+        tap += _matmul(w[:, :, i, j].T, gm).reshape(tap.shape)
     return out
 
 
@@ -250,6 +262,14 @@ def _along(axis: int, index) -> tuple:
 
 
 # -- fixed-window blur (used by SSIM) -----------------------------------------
+#
+# Each axis is blurred by a product with a banded matrix: column j holds the
+# window over the inputs centred on output j, and zero padding is the band cut
+# off at the border. An axis is tiled into BLUR_TILE outputs per product, so an output
+# costs at most BLUR_TILE + size - 1 multiply-adds however long the axis is.
+
+BLUR_TILE = 32
+
 
 def _gaussian_window(size: int, sigma: float, dtype) -> np.ndarray:
     half = (size - 1) / 2.0
@@ -258,15 +278,30 @@ def _gaussian_window(size: int, sigma: float, dtype) -> np.ndarray:
     return (g / g.sum()).astype(dtype)
 
 
-def _blur_axis(v: np.ndarray, win: np.ndarray, axis: int) -> np.ndarray:
-    half = (win.size - 1) // 2
-    pads = [(0, 0)] * 4
-    pads[axis] = (half, half)
-    vp = np.pad(v, pads)
-    out = np.zeros_like(v)
+@functools.lru_cache(maxsize=16)
+def _blur_band(n: int, size: int, sigma: float, dtype: np.dtype) -> np.ndarray:
+    """Read-only (n + size - 1, n) band: column j holds the window in rows j .. j + size - 1."""
+    win = _gaussian_window(size, sigma, dtype)
+    band = np.zeros((n + size - 1, n), dtype=dtype)
+    cols = np.arange(n)
+    for k in range(size):
+        band[cols + k, cols] = win[k]
+    band.flags.writeable = False
+    return band
+
+
+def _blur_along(v: np.ndarray, band: np.ndarray, axis: int) -> np.ndarray:
+    """Blur axis 2 or 3 of ``v``: one band product per tile of outputs."""
     n = v.shape[axis]
-    for k in range(win.size):
-        out += win[k] * vp[_along(axis, slice(k, k + n))]
+    tile = band.shape[1]
+    half = (band.shape[0] - tile) // 2
+    out = np.empty_like(v)
+    for s in range(0, n, tile):
+        e = min(s + tile, n)
+        lo, hi = max(s - half, 0), min(e + half, n)
+        m = band[lo - s + half:hi - s + half, :e - s]  # inputs lo..hi -> outputs s..e
+        src = v[_along(axis, slice(lo, hi))]
+        out[_along(axis, slice(s, e))] = m.T @ src if axis == 2 else src @ m
     return out
 
 
@@ -274,10 +309,10 @@ def gaussian_blur(x: Tensor, size: int = 11, sigma: float = 1.5) -> Tensor:
     """Depthwise Gaussian blur, zero padding, unit-sum window."""
     if size % 2 != 1 or size < 3:
         raise UsageError("window size must be odd and >= 3")
-    win = _gaussian_window(size, sigma, x.data.dtype)
+    bh, bw = (_blur_band(min(n, BLUR_TILE), size, sigma, x.data.dtype) for n in x.shape[2:])
 
     def run(v):
-        return _blur_axis(_blur_axis(v, win, 2), win, 3)
+        return _blur_along(_blur_along(v, bh, 2), bw, 3)
 
     # symmetric window + zero padding: the adjoint of the blur is the blur
     return result(run(x.data), (x,), lambda g: (run(g),))

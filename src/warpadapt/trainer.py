@@ -456,7 +456,8 @@ def load_checkpoint(path: str, config: TrainConfig | None = None) -> TrainState:
     which is sufficient for evaluation and translation. A config whose
     SHAPE_KEYS differ from the embedded ones raises ConfigError. The file must
     hold exactly the records ``_state_records`` lists for that config, each in
-    its shape; anything else raises FormatError.
+    its shape, with integer step counts and ``cfg.*`` values that make a valid
+    config; anything else raises FormatError.
     """
     with open(path, "rb") as fh:
         r = Reader(fh.read(), label=os.path.basename(path))
@@ -478,17 +479,32 @@ def load_checkpoint(path: str, config: TrainConfig | None = None) -> TrainState:
             raise FormatError(f"{r.label}: missing record {name!r}")
         return records[name]
 
+    def integer(name, lo=-math.inf, hi=math.inf):
+        value = float(record(name).reshape(-1)[0])
+        if not value.is_integer():  # also false for nan and inf
+            raise FormatError(f"{r.label}: record {name!r} holds {value}, not an integer")
+        if not lo <= value < hi:
+            raise FormatError(f"{r.label}: record {name!r} holds {value:g}, outside [{lo}, {hi})")
+        return int(value)
+
     def cfgval(key):
-        return float(record(_config_record_name(key)).reshape(-1)[0])
+        name = _config_record_name(key)
+        if key in CHOICES:
+            return CHOICES[key][integer(name, 0, len(CHOICES[key]))]
+        if CONFIG_KEYS[key] is int:
+            return integer(name)
+        return float(record(name).reshape(-1)[0])
 
     if config is None:
-        config = config_from_flat({
-            key: CHOICES[key][int(cfgval(key))] if key in CHOICES else kind(cfgval(key))
-            for key, kind in CONFIG_KEYS.items()})
+        try:
+            config = config_from_flat({key: cfgval(key) for key in CONFIG_KEYS})
+        except (ConfigError, UsageError) as exc:
+            raise FormatError(f"{r.label}: cfg records refused: {exc}") from None
     for key in SHAPE_KEYS:
-        if getattr(config, key) != int(cfgval(key)):
+        stored = cfgval(key)
+        if getattr(config, key) != stored:
             raise ConfigError(f"{key}={getattr(config, key)} does not match the "
-                              f"checkpoint's {key}={int(cfgval(key))}")
+                              f"checkpoint's {key}={stored}")
 
     state = init_state(config)
     state.iteration = iteration
@@ -504,7 +520,7 @@ def load_checkpoint(path: str, config: TrainConfig | None = None) -> TrainState:
     if extra:
         raise FormatError(f"{r.label}: unexpected record {extra[0]!r}")
     for opt_name, opt in state.opts.items():
-        opt.moments["t"] = int(records[f"opt.{opt_name}.t"].reshape(-1)[0])
+        opt.moments["t"] = integer(f"opt.{opt_name}.t", 0)
     for key in state.running:
         state.running[key] = records[f"avg.{key}"].reshape(-1)[0]
     return state

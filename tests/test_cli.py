@@ -178,18 +178,31 @@ class TestEval:
         assert first == second
 
 
+def set_record(raw, name, value):
+    """A checkpoint's bytes with the first float of record ``name`` set to ``value``:
+    the payload follows the u16 name length, the name and the 17-byte tensor header."""
+    at = raw.index(struct.pack("<H", len(name)) + name) + 2 + len(name) + 17
+    return raw[:at] + struct.pack("<f", value) + raw[at + 4:]
+
+
 class TestDataErrors:
     @pytest.mark.parametrize("case", ["train_missing_config", "eval_missing_checkpoint",
                                       "eval_missing_data", "eval_truncated_checkpoint",
                                       "eval_version_1_checkpoint", "translate_missing_sample",
-                                      "eval_renamed_record"])
+                                      "eval_renamed_record", "eval_choice_id_out_of_range",
+                                      "eval_nan_int_field", "eval_nan_step_count",
+                                      "eval_refused_config"])
     def test_exits_3_with_one_line(self, small_run, tmp_path, capsys, case):
         ckpt, data, missing = small_run["checkpoint"], small_run["data"], str(tmp_path / "none")
         with open(ckpt, "rb") as fh:
             raw = fh.read()
         edited = {"eval_truncated_checkpoint": raw[:-9],
                   "eval_version_1_checkpoint": raw[:8] + struct.pack("<I", 1) + raw[12:],
-                  "eval_renamed_record": raw.replace(b"net.stereo.", b"nXt.stereo.")}
+                  "eval_renamed_record": raw.replace(b"net.stereo.", b"nXt.stereo."),
+                  "eval_choice_id_out_of_range": set_record(raw, b"cfg.objective_id", 7.0),
+                  "eval_nan_int_field": set_record(raw, b"cfg.k", float("nan")),
+                  "eval_nan_step_count": set_record(raw, b"opt.stereo.t", float("nan")),
+                  "eval_refused_config": set_record(raw, b"cfg.k", 0.0)}
         if case in edited:
             ckpt = str(tmp_path / "edited.wck")
             with open(ckpt, "wb") as fh:
@@ -199,12 +212,9 @@ class TestDataErrors:
                                      "--out", str(tmp_path / "o")],
             "eval_missing_checkpoint": ["eval", "--checkpoint", missing, "--data", data],
             "eval_missing_data": ["eval", "--checkpoint", ckpt, "--data", missing],
-            "eval_truncated_checkpoint": ["eval", "--checkpoint", ckpt, "--data", data],
-            "eval_version_1_checkpoint": ["eval", "--checkpoint", ckpt, "--data", data],
             "translate_missing_sample": ["translate", "--checkpoint", ckpt, "--in", missing,
                                          "--out", str(tmp_path / "o")],
-            "eval_renamed_record": ["eval", "--checkpoint", ckpt, "--data", data],
-        }[case]
+        }.get(case, ["eval", "--checkpoint", ckpt, "--data", data])
         capsys.readouterr()
         assert main(argv) == 3
         err = capsys.readouterr().err

@@ -88,6 +88,21 @@ def gaussian_window(size, sigma):
     return g / g.sum()
 
 
+def blur_taps(v, size, sigma):
+    """The Gaussian blur as a tap loop per axis over a zero-padded copy."""
+    win = gaussian_window(size, sigma)
+    half = size // 2
+    for axis in (2, 3):
+        pads = [(0, 0)] * 4
+        pads[axis] = (half, half)
+        vp = np.pad(v, pads)
+        out = np.zeros_like(v)
+        for k in range(size):
+            out += win[k] * vp[K._along(axis, slice(k, k + v.shape[axis]))]
+        v = out
+    return v
+
+
 def ssim_bruteforce(a, b, size=11, sigma=1.5):
     """Windowed SSIM with zero padding, looped per pixel in float64."""
     win1 = gaussian_window(size, sigma)
@@ -134,6 +149,19 @@ class TestPointwise:
         assert np.allclose(K.softplus(x).data, np.log1p(np.exp(x.data)))
         assert np.allclose(K.leaky_relu(x, 0.2).data,
                            np.where(x.data > 0, x.data, 0.2 * x.data))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.1, 0.2, 1.0])
+    def test_leaky_relu_bits_match_where_form(self, dtype, slope):
+        rng = np.random.default_rng(6)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan]
+        v = np.concatenate([rng.standard_normal(59), special]).astype(dtype).reshape(1, 1, 8, 8)
+        s = np.asarray(slope, dtype)
+        want = np.where(v > 0, v, v * s)
+        got = K.leaky_relu(Tensor(v), slope).data
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_clamp(self):
         x = make_tensor((1, 1, 1, 3), [-2.0, 0.5, 2.0])
@@ -215,6 +243,14 @@ class TestConv:
         fwd = K.conv2d(x, w, zb2, stride=2, pad=1).data
         back = K.conv_transpose2d(y, w, zb3, stride=2, pad=1).data
         assert np.isclose((fwd * y.data).sum(), (x.data * back).sum())
+
+    @pytest.mark.parametrize("inner", [1, 2, 8])
+    def test_matmul_bits(self, inner):
+        rng = np.random.default_rng(inner)
+        for dtype in (np.float32, np.float64):
+            a = rng.standard_normal((8, inner)).astype(dtype)
+            b = rng.standard_normal((inner, 17952)).astype(dtype)
+            assert np.array_equal(K._matmul(a, b), a @ b)
 
     def test_channel_mismatch(self):
         x = rand((1, 3, 6, 8))
@@ -308,6 +344,25 @@ class TestCorrelation:
         wantT = correlation_bruteforce(a.data.transpose(0, 1, 3, 2),
                                        b.data.transpose(0, 1, 3, 2), [0, 1, 2])
         assert np.allclose(got, wantT.transpose(0, 1, 3, 2))
+
+
+class TestBlur:
+    # extents below the window, equal to it, the default, and a long axis of many tiles
+    @pytest.mark.parametrize("shape", [(1, 2, 5, 7), (1, 1, 11, 11), (2, 3, 64, 128),
+                                       (1, 1, 8, 300)])
+    @pytest.mark.parametrize("size", [3, 7, 11])
+    def test_matches_tap_loop(self, shape, size):
+        v = np.random.default_rng(size).uniform(-1, 1, shape)
+        got = K.gaussian_blur(Tensor(v), size, 1.5).data
+        assert np.allclose(got, blur_taps(v, size, 1.5), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 2, 5, 7), (1, 1, 8, 300), (1, 1, 150, 9)])
+    def test_self_adjoint(self, shape):
+        rng = np.random.default_rng(34)
+        x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+        lhs = (K.gaussian_blur(Tensor(x)).data * y).sum()
+        rhs = (x * K.gaussian_blur(Tensor(y)).data).sum()
+        assert np.isclose(lhs, rhs, rtol=1e-12, atol=0)
 
 
 class TestSSIM:
