@@ -19,41 +19,13 @@ from .errors import ConfigError, FormatError, MetricError, UsageError
 from .scenegen import (SceneSample, apply_domain_shift, check_scene_params,
                        generate_scene, read_dataset, sample_from_bytes,
                        sample_to_bytes, shift_preset, split_domains, write_dataset)
-from .trainer import (CONFIG_KEYS, TrainConfig, config_from_flat, load_checkpoint,
-                      run_training)
+from .trainer import (CONFIG_KEYS, build_train_config, load_checkpoint,
+                      parse_config_text, run_training)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
-
-
-def parse_config_text(text: str, source: str) -> dict:
-    """Flat key=value lines; '#' comments; later keys win."""
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
-        out[key] = val
-    return out
-
-
-def build_train_config(kv: dict) -> TrainConfig:
-    """Parse each text value with its field's type."""
-    values = {}
-    for key, text in kv.items():
-        kind = CONFIG_KEYS[key]
-        try:
-            values[key] = kind(text)
-        except ValueError:
-            raise ConfigError(f"{key} must be {kind.__name__}, got {text!r}") from None
-    return config_from_flat(values)
 
 
 def _apply_overrides(kv: dict, extra: list) -> dict:
@@ -115,8 +87,12 @@ def cmd_generate(args) -> int:
 def cmd_train(args, extra) -> int:
     kv = {}
     if args.config:
-        with open(args.config) as fh:
-            kv = parse_config_text(fh.read(), args.config)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config}: invalid UTF-8 at byte {exc.start}") from None
+        kv = parse_config_text(text, args.config)
     kv = _apply_overrides(kv, extra)
     config = build_train_config(kv)
     state, log_lines, report = run_training(config, args.data, args.out,

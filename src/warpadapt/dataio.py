@@ -42,6 +42,13 @@ class Reader:
         self.off += n
         return out
 
+    def text(self, n: int) -> str:
+        at = self.off
+        try:
+            return self.take(n).decode()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{self.label}: invalid UTF-8 at byte {at + exc.start}") from None
+
     def expect_magic(self, magic: bytes) -> None:
         at = self.off
         got = self.take(len(magic))

@@ -315,15 +315,25 @@ def write_dataset(samples, out_dir: str) -> list[str]:
 
 
 def read_dataset(data_dir: str) -> list[SceneSample]:
+    """The samples ``manifest.txt`` lists. Each must hold all three frames, and
+    every field must have the first sample's extent; else FormatError."""
     manifest = os.path.join(data_dir, "manifest.txt")
     if not os.path.exists(manifest):
         raise FormatError(f"no manifest.txt in {data_dir}")
-    with open(manifest) as fh:
-        names = [line.strip() for line in fh if line.strip()]
+    with open(manifest, "rb") as fh:
+        raw = fh.read()
+    lines = Reader(raw, "manifest.txt").text(len(raw)).splitlines()
     samples = []
-    for name in names:
+    for name in [line.strip() for line in lines if line.strip()]:
         with open(os.path.join(data_dir, name), "rb") as fh:
-            samples.append(sample_from_bytes(fh.read(), label=name))
+            sample = sample_from_bytes(fh.read(), label=name)
+        arrays = [getattr(sample, f) for f in FIELD_ORDER]
+        if any(a is None for a in arrays[:3]):
+            raise FormatError(f"{name}: a dataset sample needs left, right and next_left")
+        h, w = (samples[0] if samples else sample).left.shape[2:]
+        if any(a is not None and a.shape[2:] != (h, w) for a in arrays):
+            raise FormatError(f"{name}: a field's extent is not the first sample's {w}x{h}")
+        samples.append(sample)
     return samples
 
 

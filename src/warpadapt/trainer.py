@@ -28,10 +28,10 @@ from .networks import Discriminator, Extractor, FlowNet, Generator, StereoNet
 from .scenegen import read_dataset, split_domains
 from .warping import multiscale_warp_loss
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 RUNNING_DECAY = np.float32(0.98)
 OBJECTIVES = ("full", "source_only")
-# string fields and their allowed values; checkpoints store the value's index
+# string fields and their allowed values
 CHOICES = {"objective": OBJECTIVES, "d1_mode": M.D1_MODES}
 # fields that fix parameter shapes, so a checkpoint only resumes under equal values
 SHAPE_KEYS = ("channels_base", "max_disp", "max_flow")
@@ -95,9 +95,8 @@ class TrainConfig:
 
 
 def _config_keys() -> dict:
-    """Flat config key -> value type, in checkpoint record order: the
-    TrainConfig fields in declaration order, then ``weights.<name>`` per loss
-    weight."""
+    """Flat config key -> value type, in config text order: the TrainConfig
+    fields in declaration order, then ``weights.<name>`` per loss weight."""
     keys = {f.name: type(f.default) for f in fields(TrainConfig) if f.name != "weights"}
     keys.update({f"weights.{f.name}": type(f.default) for f in fields(L.LossWeights)})
     return keys
@@ -106,16 +105,44 @@ def _config_keys() -> dict:
 CONFIG_KEYS = _config_keys()
 
 
-def config_from_flat(values: dict) -> TrainConfig:
-    """TrainConfig from typed values under CONFIG_KEYS names; absent keys keep
-    their defaults."""
+def parse_config_text(text: str, source: str) -> dict:
+    """Flat key=value lines; '#' comments; later keys win."""
+    out = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
+        out[key] = val
+    return out
+
+
+def build_train_config(kv: dict) -> TrainConfig:
+    """TrainConfig from text values under CONFIG_KEYS names, each parsed with
+    its field's type; absent keys keep their defaults."""
     args, weights = {}, {}
-    for key, value in values.items():
+    for key, text in kv.items():
+        kind = CONFIG_KEYS[key]
+        try:
+            value = kind(text)
+        except ValueError:
+            raise ConfigError(f"{key} must be {kind.__name__}, got {text!r}") from None
         group, _, name = key.rpartition(".")
         (weights if group else args)[name] = value
     if weights:
         args["weights"] = L.LossWeights(**weights)
     return TrainConfig(**args)
+
+
+def config_to_text(config: TrainConfig) -> str:
+    """One key=value line per CONFIG_KEYS entry, in order. A float prints as
+    the shortest string that parses back to it, so the text is exact."""
+    return "".join(f"{key}={reduce(getattr, key.split('.'), config)}\n"
+                   for key in CONFIG_KEYS)
 
 
 # -- optimizer -------------------------------------------------------------------
@@ -406,10 +433,6 @@ def train_step(state: TrainState, syn: dict, real: dict | None) -> dict:
 
 # -- checkpoints ----------------------------------------------------------------------
 
-def _config_record_name(key: str) -> str:
-    return f"cfg.{key}_id" if key in CHOICES else f"cfg.{key}"
-
-
 def _state_records(state: TrainState) -> dict:
     rec = {}
     for net_name, net in state.nets.items():
@@ -423,11 +446,6 @@ def _state_records(state: TrainState) -> dict:
         rec[f"opt.{opt_name}.t"] = _scalar(opt.moments["t"])
     for key, val in state.running.items():
         rec[f"avg.{key}"] = _scalar(val)
-    for key in CONFIG_KEYS:
-        val = reduce(getattr, key.split("."), state.config)
-        if key in CHOICES:
-            val = CHOICES[key].index(val)
-        rec[_config_record_name(key)] = _scalar(val)
     return rec
 
 
@@ -436,13 +454,13 @@ def _scalar(v) -> np.ndarray:
 
 
 def save_checkpoint(state: TrainState, path: str) -> None:
+    text = config_to_text(state.config).encode()
     records = _state_records(state)
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(records))]
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(text)), text,
+              struct.pack("<I", len(records))]
     for name, arr in records.items():
         nb = name.encode()
-        chunks.append(struct.pack("<H", len(nb)))
-        chunks.append(nb)
-        chunks.append(pack_tensor(arr))
+        chunks += [struct.pack("<H", len(nb)), nb, pack_tensor(arr)]
     chunks.append(struct.pack("<Q", state.iteration))
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
@@ -451,13 +469,13 @@ def save_checkpoint(state: TrainState, path: str) -> None:
 def load_checkpoint(path: str, config: TrainConfig | None = None) -> TrainState:
     """Restore a training state.
 
-    Passing the run's config restores bit-exact hyperparameters for continued
-    training; without it the float32 copy embedded in the checkpoint is used,
-    which is sufficient for evaluation and translation. A config whose
-    SHAPE_KEYS differ from the embedded ones raises ConfigError. The file must
-    hold exactly the records ``_state_records`` lists for that config, each in
-    its shape, with integer step counts and ``cfg.*`` values that make a valid
-    config; anything else raises FormatError.
+    The checkpoint stores its run's config as ``train --config`` text, which
+    restores the exact hyperparameters. A passed config replaces it, e.g. to
+    resume towards a larger ``total_iters``, but one whose SHAPE_KEYS differ
+    from the stored ones raises ConfigError. The stored text must set every
+    CONFIG_KEYS key and make a valid config, and the file must hold exactly the
+    records ``_state_records`` lists for that config, each in its shape, with
+    integer step counts; anything else raises FormatError.
     """
     with open(path, "rb") as fh:
         r = Reader(fh.read(), label=os.path.basename(path))
@@ -465,46 +483,28 @@ def load_checkpoint(path: str, config: TrainConfig | None = None) -> TrainState:
     version = r.u32()
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
+    try:
+        kv = parse_config_text(r.text(r.u32()), "config")
+        missing = [key for key in CONFIG_KEYS if key not in kv]
+        if missing:
+            raise ConfigError(f"missing config key {missing[0]!r}")
+        stored = build_train_config(kv)
+    except (ConfigError, UsageError) as exc:
+        raise FormatError(f"{r.label}: stored config refused: {exc}") from None
     records = {}
     for _ in range(r.u32()):
-        name = r.take(r.u16()).decode()
+        name = r.text(r.u16())
         if name in records:
             raise FormatError(f"{r.label}: duplicate record {name!r}")
         records[name] = r.tensor()
     iteration = r.u64()
     r.done()
 
-    def record(name):
-        if name not in records:
-            raise FormatError(f"{r.label}: missing record {name!r}")
-        return records[name]
-
-    def integer(name, lo=-math.inf, hi=math.inf):
-        value = float(record(name).reshape(-1)[0])
-        if not value.is_integer():  # also false for nan and inf
-            raise FormatError(f"{r.label}: record {name!r} holds {value}, not an integer")
-        if not lo <= value < hi:
-            raise FormatError(f"{r.label}: record {name!r} holds {value:g}, outside [{lo}, {hi})")
-        return int(value)
-
-    def cfgval(key):
-        name = _config_record_name(key)
-        if key in CHOICES:
-            return CHOICES[key][integer(name, 0, len(CHOICES[key]))]
-        if CONFIG_KEYS[key] is int:
-            return integer(name)
-        return float(record(name).reshape(-1)[0])
-
-    if config is None:
-        try:
-            config = config_from_flat({key: cfgval(key) for key in CONFIG_KEYS})
-        except (ConfigError, UsageError) as exc:
-            raise FormatError(f"{r.label}: cfg records refused: {exc}") from None
+    config = stored if config is None else config
     for key in SHAPE_KEYS:
-        stored = cfgval(key)
-        if getattr(config, key) != stored:
+        if getattr(config, key) != getattr(stored, key):
             raise ConfigError(f"{key}={getattr(config, key)} does not match the "
-                              f"checkpoint's {key}={stored}")
+                              f"checkpoint's {key}={getattr(stored, key)}")
 
     state = init_state(config)
     state.iteration = iteration
@@ -512,7 +512,9 @@ def load_checkpoint(path: str, config: TrainConfig | None = None) -> TrainState:
     # are copies, so the step counts and running averages are read below
     live = _state_records(state)
     for name, arr in live.items():
-        if record(name).shape != arr.shape:
+        if name not in records:
+            raise FormatError(f"{r.label}: missing record {name!r}")
+        if records[name].shape != arr.shape:
             raise FormatError(f"{r.label}: record {name!r} has shape {records[name].shape}, "
                               f"expected {arr.shape}")
         arr[...] = records[name]
@@ -520,7 +522,11 @@ def load_checkpoint(path: str, config: TrainConfig | None = None) -> TrainState:
     if extra:
         raise FormatError(f"{r.label}: unexpected record {extra[0]!r}")
     for opt_name, opt in state.opts.items():
-        opt.moments["t"] = integer(f"opt.{opt_name}.t", 0)
+        name = f"opt.{opt_name}.t"
+        steps = float(records[name].reshape(-1)[0])
+        if not (steps.is_integer() and steps >= 0):  # also false for nan and inf
+            raise FormatError(f"{r.label}: record {name!r} holds {steps}, not a step count")
+        opt.moments["t"] = int(steps)
     for key in state.running:
         state.running[key] = records[f"avg.{key}"].reshape(-1)[0]
     return state

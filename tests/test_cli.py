@@ -1,12 +1,15 @@
 import filecmp
 import os
+import shutil
 import struct
 
 import numpy as np
 import pytest
 
-from warpadapt.cli import main, parse_config_text, write_ppm
+from warpadapt.cli import main, write_ppm
 from warpadapt.errors import ConfigError
+from warpadapt.scenegen import SceneSample, generate_scene, sample_to_bytes
+from warpadapt.trainer import parse_config_text
 
 
 def run(argv, capsys=None):
@@ -118,12 +121,13 @@ class TestTrain:
         (["--max_disp", "6"], None),
         (["--max_flow", "3"], None),
         (["--gamma_stages", "2", "--total_iters", "0"], None),
+        ([], b"seed = 1\n\xff\n"),
     ], ids=["k_not_int", "weight_not_float", "batch_size_0", "val_count_negative",
             "unknown_objective", "config_file_k_not_int", "seed_negative",
             "eval_every_negative", "lr_disp_nan", "lr_flow_inf", "weight_nan",
             "adam_beta2_above_1", "adam_beta1_nan", "flow_weight_decay_negative",
             "total_iters_negative", "channels_base_2", "max_disp_6", "max_flow_3",
-            "gamma_stages_2_no_steps"])
+            "gamma_stages_2_no_steps", "config_file_not_utf8"])
     def test_bad_value_exits_2(self, tmp_path, small_run, capsys, overrides, config_text):
         # a valid one-step run but for the value under test, so only that value
         # can cause the exit code
@@ -133,7 +137,10 @@ class TestTrain:
                 "--eval_every", "0"] + overrides
         if config_text is not None:
             cfg = tmp_path / "bad.cfg"
-            cfg.write_text(config_text)
+            if isinstance(config_text, bytes):
+                cfg.write_bytes(config_text)
+            else:
+                cfg.write_text(config_text)
             argv += ["--config", str(cfg)]
         capsys.readouterr()
         assert main(argv) == 2
@@ -185,28 +192,70 @@ def set_record(raw, name, value):
     return raw[:at] + struct.pack("<f", value) + raw[at + 4:]
 
 
+def edit_config(raw, old, new):
+    """A checkpoint's bytes with ``old`` replaced by ``new`` in its config text,
+    whose u32 byte length follows the magic and the version."""
+    n = struct.unpack_from("<I", raw, 12)[0]
+    text = raw[16:16 + n].replace(old, new)
+    return raw[:12] + struct.pack("<I", len(text)) + text + raw[16 + n:]
+
+
+def edit_dataset(src, dst, case):
+    """A copy of dataset ``src`` at ``dst``, with a manifest that is not UTF-8
+    or whose first training sample is a left-only or a larger sample."""
+    shutil.copytree(src, dst)
+    manifest = os.path.join(dst, "manifest.txt")
+    with open(manifest, "rb") as fh:
+        names = fh.read().splitlines()
+    if case == "manifest_not_utf8":
+        names[0] = b"sample_\xff.wad"
+    else:
+        scene = generate_scene(50, width=64, height=32, max_disp=8, max_flow=4)
+        if case == "left_only_sample":
+            scene = SceneSample(left=scene.left[:, :, :16, :32], right=None, next_left=None,
+                                disparity=None, flow=None, occlusion=None,
+                                domain="synthetic")
+        with open(os.path.join(dst, "odd.wad"), "wb") as fh:
+            fh.write(sample_to_bytes(scene))
+        names[0] = b"odd.wad"
+    with open(manifest, "wb") as fh:
+        fh.write(b"".join(n + b"\n" for n in names))
+
+
 class TestDataErrors:
     @pytest.mark.parametrize("case", ["train_missing_config", "eval_missing_checkpoint",
                                       "eval_missing_data", "eval_truncated_checkpoint",
                                       "eval_version_1_checkpoint", "translate_missing_sample",
-                                      "eval_renamed_record", "eval_choice_id_out_of_range",
-                                      "eval_nan_int_field", "eval_nan_step_count",
-                                      "eval_refused_config"])
+                                      "eval_renamed_record", "eval_unknown_choice",
+                                      "eval_non_integer_field", "eval_nan_step_count",
+                                      "eval_refused_config", "eval_missing_config_key",
+                                      "eval_version_2_checkpoint",
+                                      "eval_record_name_not_utf8", "eval_manifest_not_utf8",
+                                      "train_left_only_sample", "train_mixed_extents"])
     def test_exits_3_with_one_line(self, small_run, tmp_path, capsys, case):
         ckpt, data, missing = small_run["checkpoint"], small_run["data"], str(tmp_path / "none")
         with open(ckpt, "rb") as fh:
             raw = fh.read()
         edited = {"eval_truncated_checkpoint": raw[:-9],
                   "eval_version_1_checkpoint": raw[:8] + struct.pack("<I", 1) + raw[12:],
+                  "eval_version_2_checkpoint": raw[:8] + struct.pack("<I", 2) + raw[12:],
                   "eval_renamed_record": raw.replace(b"net.stereo.", b"nXt.stereo."),
-                  "eval_choice_id_out_of_range": set_record(raw, b"cfg.objective_id", 7.0),
-                  "eval_nan_int_field": set_record(raw, b"cfg.k", float("nan")),
+                  "eval_record_name_not_utf8": raw.replace(b"net.stereo.enc1.w",
+                                                           b"net.stereo.enc1.\xff"),
+                  "eval_unknown_choice": edit_config(raw, b"objective=full\n",
+                                                     b"objective=bogus\n"),
+                  "eval_non_integer_field": edit_config(raw, b"k=2\n", b"k=5.5\n"),
+                  "eval_missing_config_key": edit_config(raw, b"max_flow=4\n", b""),
                   "eval_nan_step_count": set_record(raw, b"opt.stereo.t", float("nan")),
-                  "eval_refused_config": set_record(raw, b"cfg.k", 0.0)}
+                  "eval_refused_config": edit_config(raw, b"k=2\n", b"k=0\n")}
         if case in edited:
+            assert edited[case] != raw
             ckpt = str(tmp_path / "edited.wck")
             with open(ckpt, "wb") as fh:
                 fh.write(edited[case])
+        if case in ("eval_manifest_not_utf8", "train_left_only_sample", "train_mixed_extents"):
+            data = str(tmp_path / "data")
+            edit_dataset(small_run["data"], data, case.split("_", 1)[1])
         argv = {
             "train_missing_config": ["train", "--config", missing, "--data", data,
                                      "--out", str(tmp_path / "o")],
@@ -215,6 +264,12 @@ class TestDataErrors:
             "translate_missing_sample": ["translate", "--checkpoint", ckpt, "--in", missing,
                                          "--out", str(tmp_path / "o")],
         }.get(case, ["eval", "--checkpoint", ckpt, "--data", data])
+        if case.startswith("train_") and case != "train_missing_config":
+            # every training sample lands in the one batch of the one step
+            argv = ["train", "--data", data, "--out", str(tmp_path / "o"),
+                    "--total_iters", "1", "--k", "1", "--batch_size", "3",
+                    "--channels_base", "4", "--max_disp", "8", "--max_flow", "4",
+                    "--val_count", "1", "--eval_every", "0"]
         capsys.readouterr()
         assert main(argv) == 3
         err = capsys.readouterr().err

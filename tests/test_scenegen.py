@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -251,3 +253,24 @@ class TestDatasetFormat:
         back = sample_from_bytes(sample_to_bytes(bare))
         assert back.disparity is None and back.flow is None and back.occlusion is None
         assert np.array_equal(back.left, bare.left)
+
+    @pytest.mark.parametrize("case, match", [
+        ("left_only", "sample_00001.wad: a dataset sample needs left, right and next_left"),
+        ("mixed_extent", "sample_00001.wad: a field's extent is not the first sample's 64x32"),
+        ("field_extent", "sample_00001.wad: a field's extent is not"),
+        ("manifest_not_utf8", "manifest.txt: invalid UTF-8 at byte 7"),
+    ])
+    def test_malformed_dataset_refused(self, tmp_path, case, match):
+        s = generate_scene(seed=3, width=64, height=32)
+        small = generate_scene(seed=4, width=32, height=16)
+        second = {
+            "left_only": SceneSample(left=s.left, right=None, next_left=None, disparity=None,
+                                     flow=None, occlusion=None, domain="real"),
+            "mixed_extent": small,
+            "field_extent": SceneSample(**{**vars(s), "disparity": small.disparity}),
+        }.get(case, s)
+        write_dataset([s, second], str(tmp_path))
+        if case == "manifest_not_utf8":
+            (tmp_path / "manifest.txt").write_bytes(b"sample_\xff.wad\n")
+        with pytest.raises(FormatError, match=re.escape(match)):
+            read_dataset(str(tmp_path))

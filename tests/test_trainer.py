@@ -161,43 +161,44 @@ class TestDeterminism:
 
 
 class TestCheckpoint:
-    # config records of the checkpoint format, in file order
-    CFG_RECORDS = [
-        "cfg.k", "cfg.total_iters", "cfg.batch_size", "cfg.lr_translation", "cfg.lr_disp",
-        "cfg.lr_flow", "cfg.adam_beta1", "cfg.adam_beta2", "cfg.flow_weight_decay",
-        "cfg.seed", "cfg.eval_every", "cfg.channels_base", "cfg.max_disp", "cfg.max_flow",
-        "cfg.val_count", "cfg.gamma_stages", "cfg.objective_id", "cfg.d1_mode_id",
-        "cfg.weights.lambda_translation", "cfg.weights.lambda_cycle",
-        "cfg.weights.lambda_perceptual", "cfg.weights.lambda_cosine",
-        "cfg.weights.lambda_disp_warp_syn", "cfg.weights.lambda_flow_warp_syn",
-        "cfg.weights.lambda_corr", "cfg.weights.lambda_ms", "cfg.weights.lambda_disp",
-        "cfg.weights.lambda_disp_warp_real", "cfg.weights.lambda_flow",
-        "cfg.weights.lambda_flow_warp_real",
-    ]
+    @staticmethod
+    def _config_text(raw: bytes) -> bytes:
+        """The config text, whose u32 byte length follows the magic and the version."""
+        n = struct.unpack_from("<I", raw, 12)[0]
+        return raw[16:16 + n]
 
-    def test_config_record_names_and_order(self, tmp_path):
+    def test_stored_config_is_config_text(self, tmp_path):
+        cfg = tiny_config()
         path = str(tmp_path / "c.wck")
-        T.save_checkpoint(T.init_state(tiny_config()), path)
+        T.save_checkpoint(T.init_state(cfg), path)
         with open(path, "rb") as fh:
             r = Reader(fh.read())
         r.expect_magic(CHECKPOINT_MAGIC)
         r.u32()
+        assert r.text(r.u32()) == T.config_to_text(cfg)
         names = []
         for _ in range(r.u32()):
-            names.append(r.take(r.u16()).decode())
+            names.append(r.text(r.u16()))
             r.tensor()
-        assert [n for n in names if n.startswith("cfg.")] == self.CFG_RECORDS
+        assert not [n for n in names if n.startswith("cfg.")]
 
     def test_embedded_config_rebuilds_non_default(self, tmp_path):
-        # every float is exact in float32, so the embedded copy compares equal
-        cfg = tiny_config(objective="source_only", d1_mode="and", k=3,
-                          weights=LossWeights(lambda_ms=0.25),
-                          lr_translation=2.0 ** -12, lr_disp=2.0 ** -10, lr_flow=2.0 ** -9,
-                          adam_beta1=0.875, adam_beta2=0.9921875,
-                          flow_weight_decay=2.0 ** -6, gamma_stages=0.75)
+        # each config holds a value float32 cannot represent; the stored text is exact
         path = str(tmp_path / "c.wck")
-        T.save_checkpoint(T.init_state(cfg), path)
-        assert T.load_checkpoint(path).config == cfg
+        for cfg in (T.TrainConfig(), T.TrainConfig(seed=2 ** 24 + 1),
+                    T.TrainConfig(weights=LossWeights(lambda_ms=0.1)),
+                    tiny_config(objective="source_only", d1_mode="and", lr_disp=1e-3 / 3,
+                                adam_beta2=0.9995, gamma_stages=0.85)):
+            T.save_checkpoint(T.init_state(cfg), path)
+            assert T.load_checkpoint(path).config == cfg
+
+    def test_config_text_round_trip(self):
+        cfg = tiny_config(seed=2 ** 40 + 1, lr_flow=1e-3 / 7,
+                          weights=LossWeights(lambda_cycle=1 / 3, lambda_ms=0.0))
+        text = T.config_to_text(cfg)
+        assert text.splitlines()[0] == "k=3"
+        assert [line.split("=")[0] for line in text.splitlines()] == list(T.CONFIG_KEYS)
+        assert T.build_train_config(T.parse_config_text(text, "t")) == cfg
 
     @pytest.mark.parametrize("key, value", [("channels_base", 8), ("max_disp", 16),
                                             ("max_flow", 8)])
@@ -228,21 +229,29 @@ class TestCheckpoint:
         with open(path, "rb") as fh:
             r = Reader(fh.read())
         r.expect_magic(CHECKPOINT_MAGIC)
-        assert r.u32() == T.CHECKPOINT_VERSION == 2
+        assert r.u32() == T.CHECKPOINT_VERSION == 3
+        r.text(r.u32())
         for _ in range(r.u32()):
             r.take(r.u16())
             r.tensor()
         assert r.u64() == 7
         r.done()
 
-    def test_version_1_refused(self, tmp_path):
+    @staticmethod
+    def _refuses_version(tmp_path, version):
         path = tmp_path / "c.wck"
         T.save_checkpoint(T.init_state(tiny_config()), str(path))
         raw = bytearray(path.read_bytes())
-        raw[len(CHECKPOINT_MAGIC):len(CHECKPOINT_MAGIC) + 4] = struct.pack("<I", 1)
+        raw[len(CHECKPOINT_MAGIC):len(CHECKPOINT_MAGIC) + 4] = struct.pack("<I", version)
         path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="version 1"):
+        with pytest.raises(FormatError, match=f"version {version}"):
             T.load_checkpoint(str(path))
+
+    def test_version_1_refused(self, tmp_path):
+        self._refuses_version(tmp_path, 1)
+
+    def test_version_2_refused(self, tmp_path):
+        self._refuses_version(tmp_path, 2)
 
     @staticmethod
     def _rehead(raw: bytes, name: bytes, shape: tuple) -> bytes:
@@ -250,12 +259,13 @@ class TestCheckpoint:
         at = raw.index(struct.pack("<H", len(name)) + name) + 2 + len(name)
         return raw[:at] + struct.pack("<B4I", 4, *shape) + raw[at + 17:]
 
-    @staticmethod
-    def _append(raw: bytes, name: bytes) -> bytes:
+    @classmethod
+    def _append(cls, raw: bytes, name: bytes) -> bytes:
         """Append one more record and count it in the header."""
         rec = struct.pack("<H", len(name)) + name + pack_tensor(np.zeros((1, 1, 1, 1)))
-        count = struct.unpack_from("<I", raw, 12)[0]
-        return raw[:12] + struct.pack("<I", count + 1) + raw[16:-8] + rec + raw[-8:]
+        at = 16 + len(cls._config_text(raw))
+        count = struct.unpack_from("<I", raw, at)[0]
+        return raw[:at] + struct.pack("<I", count + 1) + raw[at + 4:-8] + rec + raw[-8:]
 
     @pytest.mark.parametrize("case, record", [
         ("renamed", "net.stereo.enc1.w"),
@@ -282,12 +292,28 @@ class TestCheckpoint:
             with pytest.raises(FormatError, match=re.escape(repr(record))):
                 T.load_checkpoint(str(path), config)
 
-    def test_missing_config_record_refused(self, tmp_path):
+    @pytest.mark.parametrize("old, new, match", [
+        (b"max_flow=4\n", b"", "missing config key 'max_flow'"),
+        (b"max_flow=4\n", b"max_flXw=4\n", "unknown config key 'max_flXw'"),
+        (b"k=3\n", b"k=0\n", "k must be >= 1"),
+        (b"k=3\n", b"k=5.5\n", "k must be int"),
+        (b"objective=full\n", b"objective=bogus\n", "unknown objective"),
+        (b"objective=full\n", b"objective=\xff\n", "invalid UTF-8"),
+    ], ids=["missing_key", "unknown_key", "refused_value", "int_not_int",
+            "unknown_choice", "not_utf8"])
+    def test_bad_config_text_refused(self, tmp_path, old, new, match):
+        cfg = tiny_config()
         path = tmp_path / "c.wck"
-        T.save_checkpoint(T.init_state(tiny_config()), str(path))
-        path.write_bytes(path.read_bytes().replace(b"cfg.max_flow", b"cfg.max_flXw"))
-        with pytest.raises(FormatError, match="cfg.max_flow"):
-            T.load_checkpoint(str(path))
+        T.save_checkpoint(T.init_state(cfg), str(path))
+        raw = path.read_bytes()
+        text = self._config_text(raw)
+        assert old in text
+        edited = text.replace(old, new)
+        path.write_bytes(raw[:12] + struct.pack("<I", len(edited)) + edited
+                         + raw[16 + len(text):])
+        for config in (None, cfg):
+            with pytest.raises(FormatError, match=re.escape(match)):
+                T.load_checkpoint(str(path), config)
 
     def test_wrong_magic(self, tmp_path):
         p = tmp_path / "bad.wck"
