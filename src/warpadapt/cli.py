@@ -19,7 +19,7 @@ from .errors import ConfigError, FormatError, MetricError, UsageError
 from .scenegen import (SceneSample, apply_domain_shift, check_scene_params,
                        generate_scene, read_dataset, sample_from_bytes,
                        sample_to_bytes, shift_preset, split_domains, write_dataset)
-from .trainer import (CONFIG_KEYS, build_train_config, load_checkpoint,
+from .trainer import (CONFIG_KEYS, _holdout, build_train_config, load_checkpoint,
                       parse_config_text, run_training)
 
 EXIT_OK = 0
@@ -108,8 +108,7 @@ def cmd_eval(args) -> int:
     state = load_checkpoint(args.checkpoint)
     samples = read_dataset(args.data)
     _, real = split_domains(samples)
-    vc = state.config.val_count
-    val = real[-vc:] if vc and len(real) > vc else real
+    _, val = _holdout(real, state.config.val_count)
     report = M.evaluate(state.nets, val, d1_mode=args.d1_mode, oracle=args.oracle,
                         config={"checkpoint": os.path.basename(args.checkpoint),
                                 "iteration": state.iteration,

@@ -8,6 +8,8 @@ gradient of the other. At stride 1 every tap reads a unit-stride window of the
 padded input viewed as one flat matrix, so no tap copies its input. A tap
 that sums over a single channel is a broadcast outer product, not a GEMM. The
 Gaussian blur under SSIM is a product with a cached banded matrix per axis.
+grid_sample reads its input at each pixel moved by a (b, 1 or 2, h, w) offset
+in pixels; a 1-channel offset moves along x alone and reads two taps, not four.
 """
 
 from __future__ import annotations
@@ -382,51 +384,54 @@ def upsample2(x: Tensor) -> Tensor:
 
 # -- grid sampling ------------------------------------------------------------
 
-def grid_sample(x: Tensor, grid: Tensor) -> Tensor:
-    """Bilinear sampling of ``x`` at absolute pixel coordinates.
+def grid_sample(x: Tensor, offset: Tensor) -> Tensor:
+    """Bilinear sample of ``x`` at (col + offset_x, row + offset_y) on its own grid.
 
-    ``grid`` is (b, 2, ho, wo): channel 0 holds source x-coordinates, channel 1
-    source y-coordinates. Out-of-bounds taps read as zero and contribute no
-    gradient to the input. Differentiable in both the input and the grid; each
-    gets a gradient only when it requires one.
+    ``offset`` is (b, 1 or 2, h, w) in pixels, aligned with ``x``: channel 0
+    moves along x, channel 1 along y. A 1-channel offset moves along x alone;
+    its rows stay integer, so only the two taps along x are read and the
+    offset's gradient has one channel. Out-of-bounds taps read as zero and
+    contribute no gradient to the input. Differentiable in both the input and
+    the offset; each gets a gradient only when it requires one.
     """
     bs, c, h, w = x.shape
-    if grid.shape[0] != bs or grid.shape[1] != 2:
-        raise ShapeError(f"grid shape {grid.shape} incompatible with input {x.shape}")
-    ho, wo = grid.shape[2], grid.shape[3]
-    gx = grid.data[:, 0]
-    gy = grid.data[:, 1]
+    if offset.shape[1] not in (1, 2) or (offset.shape[0], *offset.shape[2:]) != (bs, h, w):
+        raise ShapeError(f"offset {offset.shape} must have 1 or 2 channels "
+                         f"and the batch and extent of input {x.shape}")
+    gx = offset.data[:, 0] + np.arange(w, dtype=x.dtype)
     x0 = np.floor(gx).astype(np.int64)
-    y0 = np.floor(gy).astype(np.int64)
     fx = (gx - x0).astype(x.dtype)
-    fy = (gy - y0).astype(x.dtype)
+    if offset.shape[1] == 1:
+        y0 = np.arange(h).reshape(1, h, 1)
+        weights = ((0, 0, 1 - fx), (0, 1, fx))
+    else:
+        gy = offset.data[:, 1] + np.arange(h, dtype=x.dtype)[:, None]
+        y0 = np.floor(gy).astype(np.int64)
+        fy = (gy - y0).astype(x.dtype)
+        weights = ((0, 0, (1 - fy) * (1 - fx)), (0, 1, (1 - fy) * fx),
+                   (1, 0, fy * (1 - fx)), (1, 1, fy * fx))
 
     taps = []
-    corners = []  # the corner values, kept only for the grid gradient
-    out = np.zeros((bs, ho, wo, c), dtype=x.dtype)
+    corners = []  # the corner values, kept only for the offset gradient
+    out = np.zeros((bs, h, w, c), dtype=x.dtype)
     bidx = np.arange(bs).reshape(bs, 1, 1)
-    for dy, dx_, wgt in (
-        (0, 0, (1 - fy) * (1 - fx)),
-        (0, 1, (1 - fy) * fx),
-        (1, 0, fy * (1 - fx)),
-        (1, 1, fy * fx),
-    ):
+    for dy, dx_, wgt in weights:
         yi = y0 + dy
         xi = x0 + dx_
         ok = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
         yc = np.clip(yi, 0, h - 1)
         xc = np.clip(xi, 0, w - 1)
-        # advanced indexing puts the broadcast dims first: (b, ho, wo, c)
+        # advanced indexing puts the broadcast dims first: (b, h, w, c)
         vals = x.data[bidx, :, yc, xc]
         vals[~ok] = 0
         out += wgt[:, :, :, None] * vals
         taps.append((wgt, ok, yc, xc))
-        if grid.requires_grad:
+        if offset.requires_grad:
             corners.append(vals)
     out = out.transpose(0, 3, 1, 2)
 
     def backward(g):
-        gt = np.ascontiguousarray(g.transpose(0, 2, 3, 1))  # (b, ho, wo, c)
+        gt = np.ascontiguousarray(g.transpose(0, 2, 3, 1))  # (b, h, w, c)
         dinput = None
         if x.requires_grad:
             dx_total = np.zeros(bs * c * h * w, dtype=np.float64)
@@ -439,17 +444,18 @@ def grid_sample(x: Tensor, grid: Tensor) -> Tensor:
                                         minlength=bs * c * h * w)
             dinput = dx_total.reshape(bs, c, h, w).astype(x.dtype)
 
-        dgrid = None
-        if grid.requires_grad:
-            v00, v01, v10, v11 = corners
-            dgx = (1 - fy)[:, :, :, None] * (v01 - v00) + fy[:, :, :, None] * (v11 - v10)
-            dgy = (1 - fx)[:, :, :, None] * (v10 - v00) + fx[:, :, :, None] * (v11 - v01)
-            dgrid = np.stack(
-                [(gt * dgx).sum(axis=3), (gt * dgy).sum(axis=3)], axis=1
-            ).astype(grid.dtype)
-        return dinput, dgrid
+        doffset = None
+        if offset.requires_grad:
+            if offset.shape[1] == 1:
+                slopes = [corners[1] - corners[0]]
+            else:
+                v00, v01, v10, v11 = corners
+                slopes = [(1 - fy)[:, :, :, None] * (v01 - v00) + fy[:, :, :, None] * (v11 - v10),
+                          (1 - fx)[:, :, :, None] * (v10 - v00) + fx[:, :, :, None] * (v11 - v01)]
+            doffset = np.stack([(gt * s).sum(axis=3) for s in slopes], axis=1).astype(offset.dtype)
+        return dinput, doffset
 
-    return result(out, (x, grid), backward)
+    return result(out, (x, offset), backward)
 
 
 # -- correlation --------------------------------------------------------------

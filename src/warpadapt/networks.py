@@ -14,6 +14,7 @@ import numpy as np
 
 from . import kernels as K
 from .autograd import Tensor, concat, split
+from .warping import resize_field
 
 
 class Network:
@@ -133,10 +134,10 @@ class _PyramidNet(Network):
         tq = K.leaky_relu(self.conv("dq", concat([corr, f2])), 0.1)
         s0 = rectify(self.conv("pq", tq))
         uh = K.leaky_relu(self.deconv("uh", tq), 0.1)
-        th = K.leaky_relu(self.conv("dh", concat([uh, f1, K.upsample2(s0) * 2.0])), 0.1)
+        th = K.leaky_relu(self.conv("dh", concat([uh, f1, resize_field(s0, uh.shape[2:])])), 0.1)
         s1 = rectify(self.conv("ph", th))
         uf = K.leaky_relu(self.deconv("uf", th), 0.1)
-        tf_ = K.leaky_relu(self.conv("df", concat([uf, img, K.upsample2(s1) * 2.0])), 0.1)
+        tf_ = K.leaky_relu(self.conv("df", concat([uf, img, resize_field(s1, uf.shape[2:])])), 0.1)
         s2 = rectify(self.conv("pf", tf_))
         return [s0, s1, s2]
 

@@ -28,7 +28,9 @@ import numpy as np
 from .dataio import DATASET_MAGIC, Reader, pack_tensor
 from .errors import ConfigError, FormatError
 
-FIELD_ORDER = ("left", "right", "next_left", "disparity", "flow", "occlusion")
+# each field's channel count, in on-disk order
+FIELD_CHANNELS = {"left": 3, "right": 3, "next_left": 3, "disparity": 1, "flow": 2, "occlusion": 1}
+FIELD_ORDER = tuple(FIELD_CHANNELS)
 DOMAIN_TAGS = {"synthetic": 0, "real": 1}
 DOMAIN_NAMES = {v: k for k, v in DOMAIN_TAGS.items()}
 
@@ -295,8 +297,12 @@ def sample_from_bytes(buf: bytes, label: str = "sample") -> SceneSample:
         raise FormatError(f"{label}: unknown domain tag {tag} at byte {r.off - 1}")
     bitmap = r.u8()
     values = {}
-    for i, name in enumerate(FIELD_ORDER):
+    for i, (name, channels) in enumerate(FIELD_CHANNELS.items()):
+        at = r.off
         values[name] = r.tensor() if bitmap & (1 << i) else None
+        if values[name] is not None and values[name].shape[1] != channels:
+            raise FormatError(f"{label}: {name} at byte {at} has {values[name].shape[1]} "
+                              f"channels, expected {channels}")
     r.done()
     return SceneSample(domain=DOMAIN_NAMES[tag], **values)
 

@@ -370,6 +370,12 @@ def _maybe(weight: float, fn):
     return _zero() if weight == 0.0 else fn()
 
 
+def _warp_both_ways(field: Tensor, taps_a, taps_b) -> Tensor:
+    """Warp loss of a's taps onto b's (sign -1) plus b's onto a's (sign +1) along one field."""
+    return (multiscale_warp_loss(taps_a, taps_b, field, sign=-1)
+            + multiscale_warp_loss(taps_b, taps_a, field, sign=1))
+
+
 def task_step(state: TrainState, syn: dict, real: dict | None) -> dict:
     nets, cfg = state.nets, state.config
     w = cfg.weights
@@ -395,14 +401,10 @@ def task_step(state: TrainState, syn: dict, real: dict | None) -> dict:
         with no_grad():
             _, taps = nets["gen_b2a"].forward(concat([y_l, y_r, y_t1], axis=0), need_output=False)
             by_l, by_r, by_t1 = zip(*(split(t, 3) for t in taps))
-        if w.lambda_disp_warp_real > 0.0:
-            pred_d = nets["stereo"].forward(y_l, y_r)[-1]
-            disp_warp = (multiscale_warp_loss(by_l, by_r, pred_d, sign=-1)
-                         + multiscale_warp_loss(by_r, by_l, pred_d, sign=1))
-        if w.lambda_flow_warp_real > 0.0:
-            pred_f = nets["flow"].forward(y_l, y_t1)[-1]
-            flow_warp = (multiscale_warp_loss(by_l, by_t1, pred_f, sign=-1)
-                         + multiscale_warp_loss(by_t1, by_l, pred_f, sign=1))
+        disp_warp = _maybe(w.lambda_disp_warp_real, lambda: _warp_both_ways(
+            nets["stereo"].forward(y_l, y_r)[-1], by_l, by_r))
+        flow_warp = _maybe(w.lambda_flow_warp_real, lambda: _warp_both_ways(
+            nets["flow"].forward(y_l, y_t1)[-1], by_l, by_t1))
 
     parts = {"disp_supervised": disp_sup, "disp_warp_real": disp_warp,
              "flow_supervised": flow_sup, "flow_warp_real": flow_warp}
@@ -540,6 +542,11 @@ def format_log_line(iteration: int, breakdown: dict) -> str:
     return "\t".join(parts)
 
 
+def _holdout(samples: list, val_count: int) -> tuple:
+    """(training, validation): the tail ``val_count`` samples validate, or all when 0."""
+    return (samples[:-val_count], samples[-val_count:]) if val_count else (samples, samples)
+
+
 def run_training(config: TrainConfig, data_dir: str, out_dir: str,
                  resume: str | None = None):
     """Train on a generated dataset directory; returns (state, log lines).
@@ -554,12 +561,10 @@ def run_training(config: TrainConfig, data_dir: str, out_dir: str,
     synthetic, real = split_domains(samples)
     if not synthetic or not real:
         raise UsageError("dataset must contain both synthetic and real samples")
-    vc = config.val_count
-    syn_train = synthetic[:-vc] if vc else synthetic
-    real_train = real[:-vc] if vc else real
-    real_val = real[-vc:] if vc else real
+    syn_train, _ = _holdout(synthetic, config.val_count)
+    real_train, real_val = _holdout(real, config.val_count)
     if not syn_train or not real_train:
-        raise UsageError(f"val_count={vc} leaves no training data")
+        raise UsageError(f"val_count={config.val_count} leaves no training data")
 
     os.makedirs(out_dir, exist_ok=True)
     log_lines = []

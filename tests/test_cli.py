@@ -200,9 +200,15 @@ def edit_config(raw, old, new):
     return raw[:12] + struct.pack("<I", len(text)) + text + raw[16 + n:]
 
 
+def one_channel_frames(scene):
+    """``scene`` with only the first colour channel of each frame."""
+    return SceneSample(**{**vars(scene), **{f: getattr(scene, f)[:, :1]
+                                           for f in ("left", "right", "next_left")}})
+
+
 def edit_dataset(src, dst, case):
     """A copy of dataset ``src`` at ``dst``, with a manifest that is not UTF-8
-    or whose first training sample is a left-only or a larger sample."""
+    or whose first training sample is a left-only, a larger or a 1-channel sample."""
     shutil.copytree(src, dst)
     manifest = os.path.join(dst, "manifest.txt")
     with open(manifest, "rb") as fh:
@@ -210,7 +216,12 @@ def edit_dataset(src, dst, case):
     if case == "manifest_not_utf8":
         names[0] = b"sample_\xff.wad"
     else:
-        scene = generate_scene(50, width=64, height=32, max_disp=8, max_flow=4)
+        if case == "one_channel_frames":
+            # the dataset's own extent, so only the channel count is wrong
+            scene = one_channel_frames(generate_scene(50, width=32, height=16, max_disp=8,
+                                                      max_flow=4))
+        else:
+            scene = generate_scene(50, width=64, height=32, max_disp=8, max_flow=4)
         if case == "left_only_sample":
             scene = SceneSample(left=scene.left[:, :, :16, :32], right=None, next_left=None,
                                 disparity=None, flow=None, occlusion=None,
@@ -231,7 +242,9 @@ class TestDataErrors:
                                       "eval_refused_config", "eval_missing_config_key",
                                       "eval_version_2_checkpoint",
                                       "eval_record_name_not_utf8", "eval_manifest_not_utf8",
-                                      "train_left_only_sample", "train_mixed_extents"])
+                                      "train_left_only_sample", "train_mixed_extents",
+                                      "train_one_channel_frames",
+                                      "translate_one_channel_sample"])
     def test_exits_3_with_one_line(self, small_run, tmp_path, capsys, case):
         ckpt, data, missing = small_run["checkpoint"], small_run["data"], str(tmp_path / "none")
         with open(ckpt, "rb") as fh:
@@ -253,9 +266,15 @@ class TestDataErrors:
             ckpt = str(tmp_path / "edited.wck")
             with open(ckpt, "wb") as fh:
                 fh.write(edited[case])
-        if case in ("eval_manifest_not_utf8", "train_left_only_sample", "train_mixed_extents"):
+        if case in ("eval_manifest_not_utf8", "train_left_only_sample", "train_mixed_extents",
+                    "train_one_channel_frames"):
             data = str(tmp_path / "data")
             edit_dataset(small_run["data"], data, case.split("_", 1)[1])
+        one_channel = str(tmp_path / "one_channel.wad")
+        if case == "translate_one_channel_sample":
+            scene = generate_scene(51, width=32, height=16, max_disp=8, max_flow=4)
+            with open(one_channel, "wb") as fh:
+                fh.write(sample_to_bytes(one_channel_frames(scene)))
         argv = {
             "train_missing_config": ["train", "--config", missing, "--data", data,
                                      "--out", str(tmp_path / "o")],
@@ -263,6 +282,8 @@ class TestDataErrors:
             "eval_missing_data": ["eval", "--checkpoint", ckpt, "--data", missing],
             "translate_missing_sample": ["translate", "--checkpoint", ckpt, "--in", missing,
                                          "--out", str(tmp_path / "o")],
+            "translate_one_channel_sample": ["translate", "--checkpoint", ckpt,
+                                             "--in", one_channel, "--out", str(tmp_path / "o")],
         }.get(case, ["eval", "--checkpoint", ckpt, "--data", data])
         if case.startswith("train_") and case != "train_missing_config":
             # every training sample lands in the one batch of the one step

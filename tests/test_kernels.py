@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from warpadapt import kernels as K
-from warpadapt.autograd import Tensor, backward, grad_check
+from warpadapt.autograd import Tensor, backward, concat, grad_check, result
 from warpadapt.checks import kernel_cases
 from warpadapt.errors import ShapeError
+from warpadapt.warping import warp
 
 from test_autograd import make_tensor
 
@@ -68,6 +69,67 @@ def bilinear_sample_bruteforce(img, gx, gy):
         if 0 <= yy < h and 0 <= xx < w:
             out += wt * img[:, yy, xx]
     return out
+
+
+def grid_sample_absolute(x, grid):
+    """Bilinear sample of ``x`` at the absolute pixel coordinates of a
+    (b, 2, ho, wo) ``grid``: all four corners, both grid channels, on the tape."""
+    bs, c, h, w = x.shape
+    ho, wo = grid.shape[2], grid.shape[3]
+    gx = grid.data[:, 0]
+    gy = grid.data[:, 1]
+    x0 = np.floor(gx).astype(np.int64)
+    y0 = np.floor(gy).astype(np.int64)
+    fx = (gx - x0).astype(x.dtype)
+    fy = (gy - y0).astype(x.dtype)
+
+    taps = []
+    corners = []
+    out = np.zeros((bs, ho, wo, c), dtype=x.dtype)
+    bidx = np.arange(bs).reshape(bs, 1, 1)
+    for dy, dx_, wgt in ((0, 0, (1 - fy) * (1 - fx)), (0, 1, (1 - fy) * fx),
+                         (1, 0, fy * (1 - fx)), (1, 1, fy * fx)):
+        yi = y0 + dy
+        xi = x0 + dx_
+        ok = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
+        yc = np.clip(yi, 0, h - 1)
+        xc = np.clip(xi, 0, w - 1)
+        vals = x.data[bidx, :, yc, xc]
+        vals[~ok] = 0
+        out += wgt[:, :, :, None] * vals
+        taps.append((wgt, ok, yc, xc))
+        corners.append(vals)
+    out = out.transpose(0, 3, 1, 2)
+
+    def backward(g):
+        gt = np.ascontiguousarray(g.transpose(0, 2, 3, 1))
+        dx_total = np.zeros(bs * c * h * w, dtype=np.float64)
+        for wgt, ok, yc, xc in taps:
+            contrib = gt * wgt[:, :, :, None]
+            contrib[~ok] = 0
+            cidx = np.arange(c).reshape(1, 1, 1, c)
+            flat = ((bidx[..., None] * c + cidx) * h + yc[..., None]) * w + xc[..., None]
+            dx_total += np.bincount(flat.reshape(-1), weights=contrib.reshape(-1),
+                                    minlength=bs * c * h * w)
+        v00, v01, v10, v11 = corners
+        dgx = (1 - fy)[:, :, :, None] * (v01 - v00) + fy[:, :, :, None] * (v11 - v10)
+        dgy = (1 - fx)[:, :, :, None] * (v10 - v00) + fx[:, :, :, None] * (v11 - v01)
+        dgrid = np.stack([(gt * dgx).sum(axis=3), (gt * dgy).sum(axis=3)], axis=1)
+        return dx_total.reshape(bs, c, h, w).astype(x.dtype), dgrid.astype(grid.dtype)
+
+    return result(out, (x, grid), backward)
+
+
+def warp_absolute(src, field, sign):
+    """``warp`` through an absolute coordinate grid: a disparity d becomes the
+    flow (-d, 0), and the grid is the pixel coordinates plus the signed flow."""
+    if field.shape[1] == 1:
+        field = concat([field * -1.0, Tensor(np.zeros_like(field.data))], axis=1)
+    b, _, h, w = src.shape
+    ys, xs = np.meshgrid(np.arange(h, dtype=src.dtype), np.arange(w, dtype=src.dtype),
+                         indexing="ij")
+    pixels = Tensor(np.broadcast_to(np.stack([xs, ys]), (b, 2, h, w)))
+    return grid_sample_absolute(src, pixels + field * float(sign))
 
 
 def correlation_bruteforce(a, b, disps):
@@ -286,31 +348,82 @@ class TestResize:
             K.downsample2(rand((1, 1, 3, 4)))
 
 
+def pixel_offset(rng, shape, lo, hi):
+    """A (b, c, h, w) offset of uniform values in [lo, hi], with every third
+    value rounded to a whole pixel so some taps land on cell boundaries."""
+    v = rng.uniform(lo, hi, shape)
+    v.reshape(-1)[::3] = np.round(v.reshape(-1)[::3])
+    return v
+
+
 class TestGridSample:
     def test_identity_grid_exact(self):
         x = rand((2, 3, 5, 7), seed=15, dtype=np.float32)
-        ys, xs = np.meshgrid(np.arange(5.0), np.arange(7.0), indexing="ij")
-        grid = Tensor(np.stack([np.broadcast_to(xs, (2, 5, 7)),
-                                np.broadcast_to(ys, (2, 5, 7))], axis=1).astype(np.float32))
-        out = K.grid_sample(x, grid)
-        assert np.array_equal(out.data, x.data)
+        for channels in (1, 2):
+            offset = Tensor(np.zeros((2, channels, 5, 7), dtype=np.float32))
+            assert np.array_equal(K.grid_sample(x, offset).data, x.data)
 
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(16)
         x = Tensor(rng.uniform(0, 1, (1, 3, 6, 9)))
-        gx = rng.uniform(-2, 10, (1, 1, 4, 5))
-        gy = rng.uniform(-2, 8, (1, 1, 4, 5))
-        grid = Tensor(np.concatenate([gx, gy], axis=1))
-        out = K.grid_sample(x, grid).data
-        for y in range(4):
-            for z in range(5):
-                want = bilinear_sample_bruteforce(x.data[0], gx[0, 0, y, z], gy[0, 0, y, z])
+        offset = rng.uniform(-3, 3, (1, 2, 6, 9))
+        out = K.grid_sample(x, Tensor(offset)).data
+        for y in range(6):
+            for z in range(9):
+                want = bilinear_sample_bruteforce(x.data[0], z + offset[0, 0, y, z],
+                                                  y + offset[0, 1, y, z])
                 assert np.allclose(out[0, :, y, z], want)
+
+    def test_matches_bruteforce_along_x(self):
+        rng = np.random.default_rng(17)
+        x = Tensor(rng.uniform(0, 1, (2, 3, 4, 9)))
+        offset = rng.uniform(-4, 4, (2, 1, 4, 9))
+        out = K.grid_sample(x, Tensor(offset)).data
+        for n in range(2):
+            for y in range(4):
+                for z in range(9):
+                    want = bilinear_sample_bruteforce(x.data[n], z + offset[n, 0, y, z], y)
+                    assert np.allclose(out[n, :, y, z], want)
 
     def test_fully_out_of_bounds_is_zero(self):
         x = rand((1, 2, 4, 4), seed=17)
-        grid = Tensor(np.full((1, 2, 4, 4), 100.0))
-        assert np.all(K.grid_sample(x, grid).data == 0)
+        for channels in (1, 2):
+            offset = Tensor(np.full((1, channels, 4, 4), 100.0))
+            assert np.all(K.grid_sample(x, offset).data == 0)
+
+    @pytest.mark.parametrize("shape", [(1, 3, 4, 6), (2, 2, 4, 6), (1, 2, 4, 5), (1, 2, 3, 6)])
+    def test_misshaped_offset_rejected(self, shape):
+        with pytest.raises(ShapeError, match="1 or 2 channels"):
+            K.grid_sample(rand((1, 2, 4, 6)), Tensor(np.zeros(shape)))
+
+
+class TestWarpMatchesAbsoluteGrid:
+    """``warp`` hands the signed field to the kernel as an offset; it must give
+    the bits of the absolute-grid design it replaced, in its output and in
+    both gradients."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_bits(self, channels, sign, dtype):
+        rng = np.random.default_rng([channels, sign + 1])
+        src_vals = rng.uniform(0, 1, (2, 3, 8, 12)).astype(dtype)
+        # up to 5 px of the 12-px rows: many taps fall outside the source
+        field_vals = pixel_offset(rng, (2, channels, 8, 12), -5, 5).astype(dtype)
+        g = rng.standard_normal((2, 3, 8, 12)).astype(dtype)
+        runs = []
+        for fn in (warp, warp_absolute):
+            src = Tensor(src_vals, requires_grad=True)
+            field = Tensor(field_vals, requires_grad=True)
+            out = fn(src, field, sign)
+            backward((out * Tensor(g)).sum())
+            runs.append((out.data, src.grad, field.grad))
+        (out, dsrc, dfield), (want_out, want_dsrc, want_dfield) = runs
+        assert np.any(out == 0) and np.any(out != 0)
+        assert out.dtype == want_out.dtype and dfield.dtype == want_dfield.dtype
+        assert np.array_equal(out, want_out)
+        assert np.array_equal(dsrc, want_dsrc)
+        assert np.array_equal(dfield, want_dfield)
 
 
 class TestCorrelation:
@@ -425,28 +538,27 @@ class TestGradients:
     def test_grid_sample_grid_gradient(self):
         rng = np.random.default_rng(31)
         img = Tensor(rng.uniform(0, 1, (1, 2, 6, 8)))
-        gx = rng.integers(0, 7, (1, 1, 5, 6)) + rng.uniform(0.25, 0.75, (1, 1, 5, 6))
-        gy = rng.integers(0, 5, (1, 1, 5, 6)) + rng.uniform(0.25, 0.75, (1, 1, 5, 6))
-        grid = Tensor(np.concatenate([gx, gy], axis=1))
-        err = grad_check(lambda t: K.square(K.grid_sample(img, t)).mean(), grid, step=1e-3)
+        offset = Tensor(rng.integers(-2, 3, (1, 2, 6, 8)) + rng.uniform(0.25, 0.75, (1, 2, 6, 8)))
+        err = grad_check(lambda t: K.square(K.grid_sample(img, t)).mean(), offset, step=1e-3)
         assert err < 1e-3
 
     def test_grid_sample_frozen_source(self):
-        # a source that needs no gradient gets none; the grid's is unchanged
+        # a source that needs no gradient gets none; the offset's is unchanged
         rng = np.random.default_rng(33)
         img = rng.uniform(0, 1, (2, 3, 6, 8))
-        grid = np.concatenate([rng.uniform(-1, 8, (2, 1, 5, 7)), rng.uniform(-1, 6, (2, 1, 5, 7))],
-                              axis=1)
-        g = rng.standard_normal((2, 3, 5, 7))
-        frozen = K.grid_sample(Tensor(img), Tensor(grid, requires_grad=True))._backward(g)
-        live = K.grid_sample(Tensor(img, requires_grad=True),
-                             Tensor(grid, requires_grad=True))._backward(g)
-        assert frozen[0] is None and live[0] is not None
-        assert np.array_equal(frozen[1], live[1])
-        # and a grid that needs no gradient gets none; the source's is unchanged
-        fixed = K.grid_sample(Tensor(img, requires_grad=True), Tensor(grid))._backward(g)
-        assert fixed[1] is None and live[1] is not None
-        assert np.array_equal(fixed[0], live[0])
+        g = rng.standard_normal((2, 3, 6, 8))
+        for channels in (1, 2):
+            offset = rng.uniform(-3, 3, (2, channels, 6, 8))
+            frozen = K.grid_sample(Tensor(img), Tensor(offset, requires_grad=True))._backward(g)
+            live = K.grid_sample(Tensor(img, requires_grad=True),
+                                 Tensor(offset, requires_grad=True))._backward(g)
+            assert frozen[0] is None and live[0] is not None
+            assert live[1].shape == offset.shape
+            assert np.array_equal(frozen[1], live[1])
+            # and an offset that needs no gradient gets none; the source's is unchanged
+            fixed = K.grid_sample(Tensor(img, requires_grad=True), Tensor(offset))._backward(g)
+            assert fixed[1] is None
+            assert np.array_equal(fixed[0], live[0])
 
     def test_smooth_l1_both_branches(self):
         rng = np.random.default_rng(32)

@@ -254,6 +254,19 @@ class TestDatasetFormat:
         assert back.disparity is None and back.flow is None and back.occlusion is None
         assert np.array_equal(back.left, bare.left)
 
+    @pytest.mark.parametrize("field, channels", [("left", 1), ("next_left", 4),
+                                                 ("disparity", 2), ("flow", 1),
+                                                 ("occlusion", 3)])
+    def test_wrong_channel_count_refused(self, field, channels):
+        s = generate_scene(seed=5, width=32, height=16)
+        values = getattr(s, field)
+        bad = np.repeat(values[:, :1], channels, axis=1)
+        buf = sample_to_bytes(SceneSample(**{**vars(s), field: bad}))
+        expected = scenegen.FIELD_CHANNELS[field]
+        with pytest.raises(FormatError, match=f"s.wad: {field} at byte \\d+ has {channels} "
+                                              f"channels, expected {expected}"):
+            sample_from_bytes(buf, label="s.wad")
+
     @pytest.mark.parametrize("case, match", [
         ("left_only", "sample_00001.wad: a dataset sample needs left, right and next_left"),
         ("mixed_extent", "sample_00001.wad: a field's extent is not the first sample's 64x32"),

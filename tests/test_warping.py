@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from warpadapt import kernels as K
-from warpadapt.autograd import Tensor, backward, grad_check
+from warpadapt.autograd import Tensor, backward, grad_check, topo_order
 from warpadapt.errors import ShapeError, UsageError
 from warpadapt.warping import multiscale_warp_loss, resize_field, stagewise_warp_loss, warp
 
@@ -104,6 +104,15 @@ class TestWarpFlow:
         assert err < 1e-3
 
 
+class TestWarpTape:
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_two_nodes_per_warp(self, channels):
+        # the signed field and the sample: no coordinate grid, no zero channel
+        src = rand_img((1, 2, 4, 8))
+        field = Tensor(np.ones((1, channels, 4, 8), dtype=np.float32), requires_grad=True)
+        assert len(topo_order(warp(src, field, sign=-1))) == 2
+
+
 class TestFieldResize:
     def test_downscale_halves_values(self):
         f = const_field((8, 12), 4.0)
@@ -116,6 +125,13 @@ class TestFieldResize:
         back = resize_field(resize_field(f, (4, 4)), (8, 8))
         assert np.allclose(back.data[:, 0], 3.0)
         assert np.allclose(back.data[:, 1], -1.0)
+
+    @pytest.mark.parametrize("shape, target", [((8, 8), (4, 6)), ((8, 8), (6, 6)),
+                                               ((8, 8), (8, 4)), ((6, 10), (1, 2))])
+    def test_unreachable_extent_refused(self, shape, target):
+        # a mixed aspect, a ratio that is not a power of 2, and an odd extent on the way
+        with pytest.raises(ShapeError):
+            resize_field(const_field(shape, 1.0), target)
 
     def test_halfscale_warp_matches_downsampled_warp(self):
         for seed in range(10):
@@ -170,6 +186,25 @@ class TestMultiscaleWarpLoss:
         mask = Tensor(np.zeros((1, 1, 8, 8), dtype=np.float32))
         loss = multiscale_warp_loss(taps_src, taps_dst, field, mask=mask)
         assert loss.item() == 0.0
+
+    def test_mask_halved_per_tap(self):
+        # taps at 1/1, 1/2, 1/2 and 1/4: each tap's mask is the full mask
+        # averaged down to its extent
+        shapes = [(1, 2, 16, 16), (1, 3, 8, 8), (1, 3, 8, 8), (1, 4, 4, 4)]
+        src = [rand_img(s, seed=20 + i) for i, s in enumerate(shapes)]
+        dst = [rand_img(s, seed=30 + i) for i, s in enumerate(shapes)]
+        rng = np.random.default_rng(21)
+        field = Tensor(rng.uniform(0, 3, (1, 1, 16, 16)).astype(np.float32))
+        mask = Tensor((rng.uniform(0, 1, (1, 1, 16, 16)) > 0.3).astype(np.float32))
+        want = 0.0
+        for a, b in zip(src, dst):
+            m = mask
+            while m.shape[2:] != a.shape[2:]:
+                m = K.downsample2(m)
+            level = resize_field(field, a.shape[2:])
+            want += multiscale_warp_loss([a], [b], level, mask=m).item()
+        got = multiscale_warp_loss(src, dst, field, mask=mask).item()
+        assert got == pytest.approx(want / len(shapes), rel=1e-6)
 
     def test_length_mismatch(self):
         taps = [rand_img((1, 2, 8, 8))]
