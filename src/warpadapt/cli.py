@@ -109,10 +109,10 @@ def cmd_eval(args) -> int:
     samples = read_dataset(args.data)
     _, real = split_domains(samples)
     _, val = _holdout(real, state.config.val_count)
-    report = M.evaluate(state.nets, val, d1_mode=args.d1_mode, oracle=args.oracle,
+    d1_mode = args.d1_mode or state.config.d1_mode
+    report = M.evaluate(state.nets, val, d1_mode=d1_mode, oracle=args.oracle,
                         config={"checkpoint": os.path.basename(args.checkpoint),
-                                "iteration": state.iteration,
-                                "d1_mode": args.d1_mode})
+                                "iteration": state.iteration, "d1_mode": d1_mode})
     print(report.to_text())
     print(report.csv_header())
     print(report.to_csv_row())
@@ -192,7 +192,8 @@ def make_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", help="score a checkpoint on the validation split")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--data", required=True)
-    e.add_argument("--d1-mode", choices=M.D1_MODES, default="or")
+    e.add_argument("--d1-mode", choices=M.D1_MODES, default=None,
+                   help="default: the checkpoint's d1_mode")
     e.add_argument("--oracle", action="store_true")
 
     tr = sub.add_parser("translate", help="translate one sample and write images")

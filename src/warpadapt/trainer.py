@@ -25,10 +25,10 @@ from .autograd import Tensor, backward, concat, no_grad, split, zero_grads
 from .dataio import CHECKPOINT_MAGIC, Reader, pack_tensor
 from .errors import ConfigError, FormatError, UsageError
 from .networks import Discriminator, Extractor, FlowNet, Generator, StereoNet
-from .scenegen import read_dataset, split_domains
+from .scenegen import FIELD_ORDER, read_dataset, split_domains
 from .warping import multiscale_warp_loss
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 RUNNING_DECAY = np.float32(0.98)
 OBJECTIVES = ("full", "source_only")
 # string fields and their allowed values
@@ -138,57 +138,57 @@ def build_train_config(kv: dict) -> TrainConfig:
     return TrainConfig(**args)
 
 
+def _config_values(config: TrainConfig) -> dict:
+    """CONFIG_KEYS key -> the config's value, in order."""
+    return {key: reduce(getattr, key.split("."), config) for key in CONFIG_KEYS}
+
+
 def config_to_text(config: TrainConfig) -> str:
     """One key=value line per CONFIG_KEYS entry, in order. A float prints as
     the shortest string that parses back to it, so the text is exact."""
-    return "".join(f"{key}={reduce(getattr, key.split('.'), config)}\n"
-                   for key in CONFIG_KEYS)
+    return "".join(f"{key}={value}\n" for key, value in _config_values(config).items())
 
 
 # -- optimizer -------------------------------------------------------------------
 
-def adam_update(params: dict, grads: dict, moments: dict, lr: float,
-                betas: tuple, weight_decay: float = 0.0, eps: float = 1e-8) -> None:
-    """One bias-corrected Adam step; weight decay is decoupled (AdamW style)."""
-    b1, b2 = betas
-    moments["t"] += 1
-    t = moments["t"]
-    c1 = 1.0 - b1 ** t
-    c2 = 1.0 - b2 ** t
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p.data)
+def adam_update(opt: Adam, eps: float = 1e-8) -> None:
+    """One bias-corrected Adam step on every parameter of ``opt``; a parameter
+    without a gradient steps as if its gradient were zero. Weight decay is
+    decoupled (AdamW style)."""
+    lr, (b1, b2) = opt.lr, opt.betas
+    opt.t += 1
+    c1 = 1.0 - b1 ** opt.t
+    c2 = 1.0 - b2 ** opt.t
+    for name, p in opt.params.items():
+        g = np.zeros_like(p.data) if p.grad is None else p.grad
         if g.shape != p.data.shape:
             raise UsageError(f"gradient shape {g.shape} != parameter {p.data.shape}")
-        m = moments["m"][name]
-        v = moments["v"][name]
+        m, v = opt.m[name], opt.v[name]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * (g * g)
         step = (lr / c1) * m / (np.sqrt(v / c2) + eps)
         p.data = p.data - step.astype(p.data.dtype)
-        if weight_decay:
-            p.data = p.data - (lr * weight_decay) * p.data
+        if opt.weight_decay:
+            p.data = p.data - (lr * opt.weight_decay) * p.data
 
 
 class Adam:
+    """Adam over named parameters; ``m``, ``v`` (name -> array) and the step
+    count ``t`` are the optimizer's whole state."""
+
     def __init__(self, params: dict, lr: float, betas: tuple, weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
         self.betas = betas
         self.weight_decay = weight_decay
-        self.moments = {
-            "m": {n: np.zeros_like(p.data) for n, p in params.items()},
-            "v": {n: np.zeros_like(p.data) for n, p in params.items()},
-            "t": 0,
-        }
+        self.m = {n: np.zeros_like(p.data) for n, p in params.items()}
+        self.v = {n: np.zeros_like(p.data) for n, p in params.items()}
+        self.t = 0
 
     def step(self) -> None:
-        grads = {n: p.grad for n, p in self.params.items() if p.grad is not None}
-        adam_update(self.params, grads, self.moments, self.lr, self.betas,
-                    self.weight_decay)
+        adam_update(self)
 
     def zero_grad(self) -> None:
         zero_grads(self.params.values())
@@ -226,7 +226,7 @@ def init_state(config: TrainConfig) -> TrainState:
         "flow": Adam(nets["flow"].parameters(), config.lr_flow, betas,
                      weight_decay=config.flow_weight_decay),
     }
-    running = {k: np.float32(0.0) for k in L.BREAKDOWN_KEYS}
+    running = {k: np.zeros((1, 1, 1, 1), dtype=np.float32) for k in L.BREAKDOWN_KEYS}
     return TrainState(config, 0, nets, opts, running)
 
 
@@ -256,10 +256,9 @@ def _batch_indices(count: int, batch: int, seed: int, tag: int, iteration: int):
     epoch = iteration // per_epoch
     slot = iteration % per_epoch
     perm = np.random.default_rng([seed, tag, epoch]).permutation(count)
-    idx = perm[slot * batch:(slot + 1) * batch]
-    if idx.size < batch:
-        idx = np.concatenate([idx, perm[:batch - idx.size]])
-    return idx
+    if batch > count:  # then slot is 0: cycle through the permutation
+        return np.resize(perm, batch)
+    return perm[slot * batch:(slot + 1) * batch]
 
 
 def _stack(samples, attr):
@@ -267,17 +266,10 @@ def _stack(samples, attr):
 
 
 def make_batch(samples, indices):
+    """Each field the first chosen sample holds, stacked along the batch axis."""
     chosen = [samples[i] for i in indices]
-    batch = {
-        "left": _stack(chosen, "left"),
-        "right": _stack(chosen, "right"),
-        "next_left": _stack(chosen, "next_left"),
-    }
-    if chosen[0].disparity is not None:
-        batch["disparity"] = _stack(chosen, "disparity")
-        batch["flow"] = _stack(chosen, "flow")
-        batch["occlusion"] = _stack(chosen, "occlusion")
-    return batch
+    return {name: _stack(chosen, name) for name in FIELD_ORDER
+            if getattr(chosen[0], name) is not None}
 
 
 # -- the two step kinds --------------------------------------------------------------
@@ -428,8 +420,8 @@ def train_step(state: TrainState, syn: dict, real: dict | None) -> dict:
         out = task_step(state, syn, real)
     state.iteration += 1
     for key, val in out.items():
-        state.running[key] = (state.running[key] * RUNNING_DECAY
-                              + val * (np.float32(1.0) - RUNNING_DECAY))
+        avg = state.running[key]
+        avg[...] = avg * RUNNING_DECAY + val * (np.float32(1.0) - RUNNING_DECAY)
     return out
 
 
@@ -441,18 +433,13 @@ def _state_records(state: TrainState) -> dict:
         for pname, p in net.parameters().items():
             rec[f"net.{net_name}.{pname}"] = p.data
     for opt_name, opt in state.opts.items():
-        for pname, m in opt.moments["m"].items():
+        for pname, m in opt.m.items():
             rec[f"opt.{opt_name}.m.{pname}"] = m
-        for pname, v in opt.moments["v"].items():
+        for pname, v in opt.v.items():
             rec[f"opt.{opt_name}.v.{pname}"] = v
-        rec[f"opt.{opt_name}.t"] = _scalar(opt.moments["t"])
-    for key, val in state.running.items():
-        rec[f"avg.{key}"] = _scalar(val)
+    for key, avg in state.running.items():
+        rec[f"avg.{key}"] = avg
     return rec
-
-
-def _scalar(v) -> np.ndarray:
-    return np.full((1, 1, 1, 1), v, dtype=np.float32)
 
 
 def save_checkpoint(state: TrainState, path: str) -> None:
@@ -463,7 +450,8 @@ def save_checkpoint(state: TrainState, path: str) -> None:
     for name, arr in records.items():
         nb = name.encode()
         chunks += [struct.pack("<H", len(nb)), nb, pack_tensor(arr)]
-    chunks.append(struct.pack("<Q", state.iteration))
+    counts = [opt.t for opt in state.opts.values()] + [state.iteration]
+    chunks.append(struct.pack(f"<{len(counts)}Q", *counts))
     with open(path, "wb") as fh:
         fh.write(b"".join(chunks))
 
@@ -473,11 +461,12 @@ def load_checkpoint(path: str, config: TrainConfig | None = None) -> TrainState:
 
     The checkpoint stores its run's config as ``train --config`` text, which
     restores the exact hyperparameters. A passed config replaces it, e.g. to
-    resume towards a larger ``total_iters``, but one whose SHAPE_KEYS differ
-    from the stored ones raises ConfigError. The stored text must set every
-    CONFIG_KEYS key and make a valid config, and the file must hold exactly the
-    records ``_state_records`` lists for that config, each in its shape, with
-    integer step counts; anything else raises FormatError.
+    resume towards a larger ``total_iters``, and a warning lists each key it
+    changes; one whose SHAPE_KEYS differ from the stored ones raises
+    ConfigError. The stored text must set every CONFIG_KEYS key and make a
+    valid config, and the file must hold exactly the records
+    ``_state_records`` lists for that config, each in its shape; anything else
+    raises FormatError.
     """
     with open(path, "rb") as fh:
         r = Reader(fh.read(), label=os.path.basename(path))
@@ -493,15 +482,6 @@ def load_checkpoint(path: str, config: TrainConfig | None = None) -> TrainState:
         stored = build_train_config(kv)
     except (ConfigError, UsageError) as exc:
         raise FormatError(f"{r.label}: stored config refused: {exc}") from None
-    records = {}
-    for _ in range(r.u32()):
-        name = r.text(r.u16())
-        if name in records:
-            raise FormatError(f"{r.label}: duplicate record {name!r}")
-        records[name] = r.tensor()
-    iteration = r.u64()
-    r.done()
-
     config = stored if config is None else config
     for key in SHAPE_KEYS:
         if getattr(config, key) != getattr(stored, key):
@@ -509,9 +489,17 @@ def load_checkpoint(path: str, config: TrainConfig | None = None) -> TrainState:
                               f"checkpoint's {key}={getattr(stored, key)}")
 
     state = init_state(config)
-    state.iteration = iteration
-    # parameters and Adam moments are live arrays of the state; the scalars
-    # are copies, so the step counts and running averages are read below
+    records = {}
+    for _ in range(r.u32()):
+        name = r.text(r.u16())
+        if name in records:
+            raise FormatError(f"{r.label}: duplicate record {name!r}")
+        records[name] = r.tensor()
+    for opt in state.opts.values():
+        opt.t = r.u64()
+    state.iteration = r.u64()
+    r.done()
+
     live = _state_records(state)
     for name, arr in live.items():
         if name not in records:
@@ -523,14 +511,11 @@ def load_checkpoint(path: str, config: TrainConfig | None = None) -> TrainState:
     extra = [name for name in records if name not in live]
     if extra:
         raise FormatError(f"{r.label}: unexpected record {extra[0]!r}")
-    for opt_name, opt in state.opts.items():
-        name = f"opt.{opt_name}.t"
-        steps = float(records[name].reshape(-1)[0])
-        if not (steps.is_integer() and steps >= 0):  # also false for nan and inf
-            raise FormatError(f"{r.label}: record {name!r} holds {steps}, not a step count")
-        opt.moments["t"] = int(steps)
-    for key in state.running:
-        state.running[key] = records[f"avg.{key}"].reshape(-1)[0]
+
+    old, new = _config_values(stored), _config_values(config)
+    changed = [f"{key} {old[key]} -> {new[key]}" for key in CONFIG_KEYS if old[key] != new[key]]
+    if changed:
+        warnings.warn(f"{r.label}: resuming with a changed config: {', '.join(changed)}")
     return state
 
 

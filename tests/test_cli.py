@@ -177,19 +177,28 @@ class TestEval:
         out = capsys.readouterr().out
         assert "epe_disp=0" in out and "f1_all=0" in out
 
+    def test_default_d1_mode_is_the_runs(self, small_run, tmp_path, capsys):
+        out = str(tmp_path / "and")
+        assert main(["train", "--data", small_run["data"], "--out", out,
+                     "--total_iters", "2", "--k", "2", "--batch_size", "1",
+                     "--channels_base", "4", "--max_disp", "8", "--max_flow", "4",
+                     "--val_count", "1", "--eval_every", "0", "--d1_mode", "and"]) == 0
+        with open(os.path.join(out, "train.log")) as fh:
+            final = fh.read().splitlines()[-1].split("\t")[2:]
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", os.path.join(out, "checkpoint_final.wck"),
+                     "--data", small_run["data"]]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "config.d1_mode=and" in lines
+        scores = [line for line in final if not line.startswith("config.")]
+        assert lines[:len(scores)] == scores
+
     def test_deterministic_reports(self, small_run, capsys):
         main(["eval", "--checkpoint", small_run["checkpoint"], "--data", small_run["data"]])
         first = capsys.readouterr().out
         main(["eval", "--checkpoint", small_run["checkpoint"], "--data", small_run["data"]])
         second = capsys.readouterr().out
         assert first == second
-
-
-def set_record(raw, name, value):
-    """A checkpoint's bytes with the first float of record ``name`` set to ``value``:
-    the payload follows the u16 name length, the name and the 17-byte tensor header."""
-    at = raw.index(struct.pack("<H", len(name)) + name) + 2 + len(name) + 17
-    return raw[:at] + struct.pack("<f", value) + raw[at + 4:]
 
 
 def edit_config(raw, old, new):
@@ -238,9 +247,9 @@ class TestDataErrors:
                                       "eval_missing_data", "eval_truncated_checkpoint",
                                       "eval_version_1_checkpoint", "translate_missing_sample",
                                       "eval_renamed_record", "eval_unknown_choice",
-                                      "eval_non_integer_field", "eval_nan_step_count",
-                                      "eval_refused_config", "eval_missing_config_key",
-                                      "eval_version_2_checkpoint",
+                                      "eval_non_integer_field", "eval_refused_config",
+                                      "eval_missing_config_key", "eval_version_2_checkpoint",
+                                      "eval_version_3_checkpoint",
                                       "eval_record_name_not_utf8", "eval_manifest_not_utf8",
                                       "train_left_only_sample", "train_mixed_extents",
                                       "train_one_channel_frames",
@@ -252,6 +261,7 @@ class TestDataErrors:
         edited = {"eval_truncated_checkpoint": raw[:-9],
                   "eval_version_1_checkpoint": raw[:8] + struct.pack("<I", 1) + raw[12:],
                   "eval_version_2_checkpoint": raw[:8] + struct.pack("<I", 2) + raw[12:],
+                  "eval_version_3_checkpoint": raw[:8] + struct.pack("<I", 3) + raw[12:],
                   "eval_renamed_record": raw.replace(b"net.stereo.", b"nXt.stereo."),
                   "eval_record_name_not_utf8": raw.replace(b"net.stereo.enc1.w",
                                                            b"net.stereo.enc1.\xff"),
@@ -259,7 +269,6 @@ class TestDataErrors:
                                                      b"objective=bogus\n"),
                   "eval_non_integer_field": edit_config(raw, b"k=2\n", b"k=5.5\n"),
                   "eval_missing_config_key": edit_config(raw, b"max_flow=4\n", b""),
-                  "eval_nan_step_count": set_record(raw, b"opt.stereo.t", float("nan")),
                   "eval_refused_config": edit_config(raw, b"k=2\n", b"k=0\n")}
         if case in edited:
             assert edited[case] != raw

@@ -1,5 +1,6 @@
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,21 @@ class TestAdam:
         for n in range(1, 4):
             opt.step()
             assert p.data.reshape(-1)[0] == pytest.approx((1 - 0.1 * 0.01) ** n, rel=1e-6)
+
+
+class TestBatching:
+    def test_batch_larger_than_twice_the_split_is_full(self):
+        idx = T._batch_indices(4, 10, seed=0, tag=1, iteration=3)
+        assert idx.size == 10
+        assert np.bincount(idx, minlength=4).min() >= 2
+
+    @pytest.mark.parametrize("count, batch", [(3, 4), (4, 5), (4, 8), (5, 10)])
+    def test_padding_matches_one_extra_permutation(self, count, batch):
+        # the parent's rule: the whole permutation, then its head up to the batch size
+        for iteration in range(3):
+            perm = np.random.default_rng([7, 2, iteration]).permutation(count)
+            expected = np.concatenate([perm, perm[:batch - count]])
+            assert np.array_equal(T._batch_indices(count, batch, 7, 2, iteration), expected)
 
 
 class TestOverfit:
@@ -229,13 +245,24 @@ class TestCheckpoint:
         with open(path, "rb") as fh:
             r = Reader(fh.read())
         r.expect_magic(CHECKPOINT_MAGIC)
-        assert r.u32() == T.CHECKPOINT_VERSION == 3
+        assert r.u32() == T.CHECKPOINT_VERSION == 4
         r.text(r.u32())
         for _ in range(r.u32()):
             r.take(r.u16())
             r.tensor()
+        assert [r.u64() for _ in state.opts] == [0, 0, 0, 0]
         assert r.u64() == 7
         r.done()
+
+    def test_step_counts_exact(self, tmp_path):
+        # 2**24 + 1 is the least positive integer that float32 cannot hold
+        state = T.init_state(tiny_config())
+        for n, opt in enumerate(state.opts.values()):
+            opt.t = 2 ** 24 + 1 + n
+        path = str(tmp_path / "c.wck")
+        T.save_checkpoint(state, path)
+        loaded = T.load_checkpoint(path)
+        assert [opt.t for opt in loaded.opts.values()] == [2 ** 24 + 1 + n for n in range(4)]
 
     @staticmethod
     def _refuses_version(tmp_path, version):
@@ -253,6 +280,9 @@ class TestCheckpoint:
     def test_version_2_refused(self, tmp_path):
         self._refuses_version(tmp_path, 2)
 
+    def test_version_3_refused(self, tmp_path):
+        self._refuses_version(tmp_path, 3)
+
     @staticmethod
     def _rehead(raw: bytes, name: bytes, shape: tuple) -> bytes:
         """Rewrite the extents of one record, keeping its payload."""
@@ -261,11 +291,12 @@ class TestCheckpoint:
 
     @classmethod
     def _append(cls, raw: bytes, name: bytes) -> bytes:
-        """Append one more record and count it in the header."""
+        """Add one more record after the others, before the tail of four step
+        counts and the iteration (five u64), and count it in the header."""
         rec = struct.pack("<H", len(name)) + name + pack_tensor(np.zeros((1, 1, 1, 1)))
         at = 16 + len(cls._config_text(raw))
         count = struct.unpack_from("<I", raw, at)[0]
-        return raw[:at] + struct.pack("<I", count + 1) + raw[at + 4:-8] + rec + raw[-8:]
+        return raw[:at] + struct.pack("<I", count + 1) + raw[at + 4:-40] + rec + raw[-40:]
 
     @pytest.mark.parametrize("case, record", [
         ("renamed", "net.stereo.enc1.w"),
@@ -314,6 +345,21 @@ class TestCheckpoint:
         for config in (None, cfg):
             with pytest.raises(FormatError, match=re.escape(match)):
                 T.load_checkpoint(str(path), config)
+
+    def test_resume_reports_changed_keys(self, tmp_path):
+        path = str(tmp_path / "c.wck")
+        T.save_checkpoint(T.init_state(tiny_config()), path)
+        with pytest.warns(UserWarning, match=r"changed config: total_iters 6 -> 9, "
+                                             r"lr_disp 0\.001 -> 0\.002$"):
+            T.load_checkpoint(path, tiny_config(lr_disp=0.002, total_iters=9))
+
+    def test_resume_with_equal_config_is_quiet(self, tmp_path):
+        path = str(tmp_path / "c.wck")
+        T.save_checkpoint(T.init_state(tiny_config()), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            T.load_checkpoint(path, tiny_config())
+            T.load_checkpoint(path)
 
     def test_wrong_magic(self, tmp_path):
         p = tmp_path / "bad.wck"
