@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -168,6 +169,11 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
+# every subcommand but train, which also takes the config overrides
+COMMANDS = {"generate": cmd_generate, "eval": cmd_eval, "translate": cmd_translate,
+            "gradcheck": cmd_gradcheck}
+
+
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="warpadapt",
                                 description="joint translation/stereo/flow co-training")
@@ -218,24 +224,19 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    try:
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "train":
-            return cmd_train(args, extra)
-        if args.command == "eval":
-            return cmd_eval(args)
-        if args.command == "translate":
-            return cmd_translate(args)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(args)
-    except (ConfigError, UsageError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FormatError, MetricError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    raise AssertionError("unreachable")
+    with warnings.catch_warnings():
+        # one line per warning, like the error lines below
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            if args.command == "train":
+                return cmd_train(args, extra)
+            return COMMANDS[args.command](args)
+        except (ConfigError, UsageError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except (FormatError, MetricError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DATA
 
 
 if __name__ == "__main__":

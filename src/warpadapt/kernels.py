@@ -10,6 +10,9 @@ that sums over a single channel is a broadcast outer product, not a GEMM. The
 Gaussian blur under SSIM is a product with a cached banded matrix per axis.
 grid_sample reads its input at each pixel moved by a (b, 1 or 2, h, w) offset
 in pixels; a 1-channel offset moves along x alone and reads two taps, not four.
+A read past an edge indexes a bordered copy, never a mask: a zero border for
+grid_sample and correlation, the replicated edge samples for upsample2. Their
+adjoints scatter into the bordered shape and crop or fold the border.
 """
 
 from __future__ import annotations
@@ -339,14 +342,12 @@ def downsample2(x: Tensor) -> Tensor:
 
 
 def _up2_axis(v: np.ndarray, axis: int) -> np.ndarray:
-    # out[2i] = 0.25 in[i-1] + 0.75 in[i]; out[2i+1] = 0.75 in[i] + 0.25 in[i+1]
-    # with edge replication, so constants are preserved exactly.
-    lo = np.take(v, [0], axis=axis)
-    hi = np.take(v, [v.shape[axis] - 1], axis=axis)
-    prev = np.concatenate([lo, np.delete(v, -1, axis=axis)], axis=axis)
-    nxt = np.concatenate([np.delete(v, 0, axis=axis), hi], axis=axis)
-    even = 0.25 * prev + 0.75 * v
-    odd = 0.75 * v + 0.25 * nxt
+    # out[2i] = 0.25 in[i-1] + 0.75 in[i]; out[2i+1] = 0.75 in[i] + 0.25 in[i+1],
+    # read from a copy bordered by the edge samples, so constants are preserved exactly
+    n = v.shape[axis]
+    p = np.concatenate([v[_along(axis, [0])], v, v[_along(axis, [n - 1])]], axis=axis)
+    even = 0.25 * p[_along(axis, slice(0, n))] + 0.75 * v
+    odd = 0.75 * v + 0.25 * p[_along(axis, slice(2, None))]
     out_shape = list(v.shape)
     out_shape[axis] *= 2
     out = np.empty(out_shape, dtype=v.dtype)
@@ -358,17 +359,16 @@ def _up2_axis(v: np.ndarray, axis: int) -> np.ndarray:
 def _up2_axis_adjoint(g: np.ndarray, axis: int) -> np.ndarray:
     ge = g[_along(axis, slice(0, None, 2))]
     go = g[_along(axis, slice(1, None, 2))]
-    dv = 0.75 * ge + 0.75 * go
-    # shift contributions: in[i] gets 0.25*ge[i+1] (as prev) and 0.25*go[i-1] (as next)
-    first = _along(axis, slice(0, -1))
-    rest = _along(axis, slice(1, None))
-    dv[first] += 0.25 * ge[rest]
-    dv[rest] += 0.25 * go[first]
-    # edge replication folds the clamped taps back onto the border samples
-    edge0 = _along(axis, slice(0, 1))
-    edge1 = _along(axis, slice(-1, None))
-    dv[edge0] += 0.25 * ge[edge0]
-    dv[edge1] += 0.25 * go[edge1]
+    n = ge.shape[axis]
+    # scatter onto the bordered copy the forward pass reads, then fold each
+    # border sample back onto the edge sample it replicates
+    dp = np.zeros(ge.shape[:axis] + (n + 2,) + ge.shape[axis + 1:], dtype=g.dtype)
+    dv = dp[_along(axis, slice(1, n + 1))]
+    dv[...] = 0.75 * ge + 0.75 * go
+    dp[_along(axis, slice(0, n))] += 0.25 * ge
+    dp[_along(axis, slice(2, None))] += 0.25 * go
+    dv[_along(axis, 0)] += dp[_along(axis, 0)]
+    dv[_along(axis, -1)] += dp[_along(axis, -1)]
     return dv
 
 
@@ -390,8 +390,8 @@ def grid_sample(x: Tensor, offset: Tensor) -> Tensor:
     ``offset`` is (b, 1 or 2, h, w) in pixels, aligned with ``x``: channel 0
     moves along x, channel 1 along y. A 1-channel offset moves along x alone;
     its rows stay integer, so only the two taps along x are read and the
-    offset's gradient has one channel. Out-of-bounds taps read as zero and
-    contribute no gradient to the input. Differentiable in both the input and
+    offset's gradient has one channel. Out-of-bounds taps read a zero border
+    and contribute no gradient to the input. Differentiable in both the input and
     the offset; each gets a gradient only when it requires one.
     """
     bs, c, h, w = x.shape
@@ -411,21 +411,20 @@ def grid_sample(x: Tensor, offset: Tensor) -> Tensor:
         weights = ((0, 0, (1 - fy) * (1 - fx)), (0, 1, (1 - fy) * fx),
                    (1, 0, fy * (1 - fx)), (1, 1, fy * fx))
 
+    # a tap outside x reads the zero border of this copy
+    xb = np.zeros((bs, c, h + 2, w + 2), dtype=x.dtype)
+    xb[:, :, 1:-1, 1:-1] = x.data
     taps = []
     corners = []  # the corner values, kept only for the offset gradient
     out = np.zeros((bs, h, w, c), dtype=x.dtype)
     bidx = np.arange(bs).reshape(bs, 1, 1)
     for dy, dx_, wgt in weights:
-        yi = y0 + dy
-        xi = x0 + dx_
-        ok = (yi >= 0) & (yi < h) & (xi >= 0) & (xi < w)
-        yc = np.clip(yi, 0, h - 1)
-        xc = np.clip(xi, 0, w - 1)
+        yc = np.clip(y0 + dy + 1, 0, h + 1)
+        xc = np.clip(x0 + dx_ + 1, 0, w + 1)
         # advanced indexing puts the broadcast dims first: (b, h, w, c)
-        vals = x.data[bidx, :, yc, xc]
-        vals[~ok] = 0
+        vals = xb[bidx, :, yc, xc]
         out += wgt[:, :, :, None] * vals
-        taps.append((wgt, ok, yc, xc))
+        taps.append((wgt, yc * (w + 2) + xc))  # the tap's index in one bordered plane
         if offset.requires_grad:
             corners.append(vals)
     out = out.transpose(0, 3, 1, 2)
@@ -434,15 +433,14 @@ def grid_sample(x: Tensor, offset: Tensor) -> Tensor:
         gt = np.ascontiguousarray(g.transpose(0, 2, 3, 1))  # (b, h, w, c)
         dinput = None
         if x.requires_grad:
-            dx_total = np.zeros(bs * c * h * w, dtype=np.float64)
-            for wgt, ok, yc, xc in taps:
-                contrib = gt * wgt[:, :, :, None]
-                contrib[~ok] = 0
-                cidx = np.arange(c).reshape(1, 1, 1, c)
-                flat = ((bidx[..., None] * c + cidx) * h + yc[..., None]) * w + xc[..., None]
-                dx_total += np.bincount(flat.reshape(-1), weights=contrib.reshape(-1),
-                                        minlength=bs * c * h * w)
-            dinput = dx_total.reshape(bs, c, h, w).astype(x.dtype)
+            # scatter onto the bordered planes, then crop the border
+            planes = (bidx[..., None] * c + np.arange(c)) * ((h + 2) * (w + 2))
+            dx_total = np.zeros(bs * c * (h + 2) * (w + 2), dtype=np.float64)
+            for wgt, pix in taps:
+                flat = (planes + pix[..., None]).reshape(-1)
+                dx_total += np.bincount(flat, weights=(gt * wgt[..., None]).reshape(-1),
+                                        minlength=dx_total.size)
+            dinput = dx_total.reshape(bs, c, h + 2, w + 2)[:, :, 1:-1, 1:-1].astype(x.dtype)
 
         doffset = None
         if offset.requires_grad:
@@ -466,7 +464,7 @@ def correlation(a: Tensor, b: Tensor, max_disp: int, axis: int = 3,
 
     Channel ``j`` holds mean_c a(p) * b(p shifted by the j-th displacement);
     displacements run 0..D (stereo convention) or -D..D when ``signed``.
-    Out-of-range shifts read as zero.
+    Out-of-range shifts read a zero border.
     """
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
@@ -475,34 +473,27 @@ def correlation(a: Tensor, b: Tensor, max_disp: int, axis: int = 3,
     if max_disp < 1 or max_disp >= a.shape[axis]:
         raise UsageError(f"max_disp {max_disp} out of range for extent {a.shape[axis]}")
     disps = list(range(-max_disp, max_disp + 1)) if signed else list(range(max_disp + 1))
-    bs, c, h, w = a.shape
-    out_shape = (bs, len(disps), h, w)
-    inv_c = 1.0 / c
+    n = a.shape[axis]
+    inv_c = 1.0 / a.shape[1]
+    # b bordered by max_disp zeros on each side of the axis: displacement k reads b at p - k
+    bp = np.zeros(b.shape[:axis] + (n + 2 * max_disp,) + b.shape[axis + 1:], dtype=b.dtype)
+    bp[_along(axis, slice(max_disp, max_disp + n))] = b.data
 
-    def shifted_slices(k):
-        # returns (dst, src) slices with dst on a/output, src on b: b indexed at p - k
-        n = a.shape[axis]
-        if k >= 0:
-            return _along(axis, slice(k, None)), _along(axis, slice(0, n - k))
-        return _along(axis, slice(0, n + k)), _along(axis, slice(-k, None))
+    def window(k):
+        return _along(axis, slice(max_disp - k, max_disp - k + n))
 
-    out = np.zeros(out_shape, dtype=a.dtype)
+    out = np.empty((a.shape[0], len(disps)) + a.shape[2:], dtype=a.dtype)
     for j, k in enumerate(disps):
-        dst, src = shifted_slices(k)
-        prod = (a.data[dst] * b.data[src]).sum(axis=1) * inv_c
-        osl = [slice(None), j] + list(dst[2:])
-        out[tuple(osl)] = prod
+        out[:, j] = (a.data * bp[window(k)]).sum(axis=1) * inv_c
 
     def backward(g):
         da = np.zeros_like(a.data)
-        db = np.zeros_like(b.data)
+        dbp = np.zeros_like(bp)
         for j, k in enumerate(disps):
-            dst, src = shifted_slices(k)
-            gsl = [slice(None), slice(j, j + 1)] + list(dst[2:])
-            gj = g[tuple(gsl)] * inv_c
-            da[dst] += gj * b.data[src]
-            db[src] += gj * a.data[dst]
-        return da, db
+            gj = g[:, j:j + 1] * inv_c
+            da += gj * bp[window(k)]
+            dbp[window(k)] += gj * a.data
+        return da, dbp[window(0)]
 
     return result(out, (a, b), backward)
 

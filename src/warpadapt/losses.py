@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 from . import kernels as K
 from .autograd import Tensor
-from .errors import UsageError
+from .errors import ConfigError
 from .warping import stagewise_warp_loss
 
 PROB_EPS = 1e-6
@@ -45,7 +45,7 @@ class LossWeights:
         for f in fields(self):
             value = getattr(self, f.name)
             if not (math.isfinite(value) and value >= 0):
-                raise UsageError(f"{f.name} must be finite and non-negative, got {value}")
+                raise ConfigError(f"{f.name} must be finite and non-negative, got {value}")
 
 
 BREAKDOWN_KEYS = (

@@ -178,28 +178,18 @@ def _composite(layers, xs, ys, offset_of):
     return img.reshape((3,) + xs.shape), ids
 
 
-def _lookup_ids(ids, qx, qy):
-    """Layer ids at the integer corners around fractional query points.
+def _shows_layer(ids, qx, qy, layer):
+    """Whether all four integer corners around each fractional query point
+    show ``layer``, i.e. the queried position still shows that surface.
 
-    Returns (all-corners-equal-and-inbounds mask, corner id) so callers can
-    test whether a warped position still shows the same surface.
+    A corner off the map reads a -1 border. No layer id is -1: the background
+    layer owns every pixel that no other layer covers.
     """
     h, w = ids.shape
-    x0 = np.floor(qx).astype(np.int64)
-    y0 = np.floor(qy).astype(np.int64)
-    ok = np.ones(qx.shape, dtype=bool)
-    ref = None
-    for dy in (0, 1):
-        for dx in (0, 1):
-            xi, yi = x0 + dx, y0 + dy
-            inb = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-            vals = ids[np.clip(yi, 0, h - 1), np.clip(xi, 0, w - 1)]
-            ok &= inb
-            if ref is None:
-                ref = vals
-            else:
-                ok &= vals == ref
-    return ok, ref
+    bordered = np.pad(ids, 1, constant_values=-1)
+    x0, y0 = (np.floor(q).astype(np.int64) + 1 for q in (qx, qy))  # + 1: past the border
+    return np.all([bordered[np.clip(y0 + dy, 0, h + 1), np.clip(x0 + dx, 0, w + 1)] == layer
+                   for dy in (0, 1) for dx in (0, 1)], axis=0)
 
 
 def check_scene_params(width: int, height: int, max_disp: int, max_flow: int) -> None:
@@ -232,8 +222,7 @@ def generate_scene(seed: int, width: int = 128, height: int = 64, max_disp: int 
     flow_u = u_of[id_left]
     flow_v = v_of[id_left]
 
-    occl_ok, occl_ref = _lookup_ids(id_next, xs + flow_u, ys + flow_v)
-    occlusion = occl_ok & (occl_ref == id_left)
+    occlusion = _shows_layer(id_next, xs + flow_u, ys + flow_v, id_left)
 
     def shape4(a, c):
         return np.ascontiguousarray(a, dtype=np.float32).reshape(1, c, height, width)

@@ -89,9 +89,6 @@ class TrainConfig:
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
-        if self.total_iters % self.k:
-            warnings.warn(f"total_iters={self.total_iters} is not a multiple of "
-                          f"k={self.k}; the last alternation window is partial")
 
 
 def _config_keys() -> dict:
@@ -287,12 +284,6 @@ def _optimize(state: TrainState, loss: Tensor, *stepped: str) -> None:
         opt.zero_grad()
 
 
-def _breakdown(terms: dict) -> dict:
-    """The full BREAKDOWN_KEYS record of one step: its terms, zero elsewhere."""
-    return {k: np.float32(terms[k].item()) if k in terms else np.float32(0.0)
-            for k in L.BREAKDOWN_KEYS}
-
-
 def _zero() -> Tensor:
     return Tensor(np.zeros((1, 1, 1, 1), dtype=np.float32))
 
@@ -353,8 +344,8 @@ def translation_step(state: TrainState, syn: dict, real: dict) -> dict:
     total, translation = L.translation_objective(parts, w)
     _optimize(state, total, "gen")
 
-    return _breakdown({**parts, "adv_syn2real_disc": disc_b, "adv_real2syn_disc": disc_a,
-                       "translation": translation, "translation_total": total})
+    return {**parts, "adv_syn2real_disc": disc_b, "adv_real2syn_disc": disc_a,
+            "translation": translation, "translation_total": total}
 
 
 def _maybe(weight: float, fn):
@@ -405,24 +396,28 @@ def task_step(state: TrainState, syn: dict, real: dict | None) -> dict:
 
     _optimize(state, total_d + total_f, "stereo", "flow")
 
-    return _breakdown({**parts, "stereo_total": total_d, "flow_total": total_f})
+    return {**parts, "stereo_total": total_d, "flow_total": total_f}
 
 
 def train_step(state: TrainState, syn: dict, real: dict | None) -> dict:
-    """Dispatch one iteration per the alternation schedule and advance it."""
+    """Dispatch one iteration per the alternation schedule and advance it.
+    Returns the BREAKDOWN_KEYS record, zero outside the step's own terms,
+    and only those terms move their running averages."""
     if "disparity" not in syn:
         raise UsageError("synthetic batch lacks ground-truth fields")
     if state.config.objective == "source_only":
-        out = task_step(state, syn, None)
+        terms = task_step(state, syn, None)
     elif state.iteration % state.config.k == 0:
-        out = translation_step(state, syn, real)
+        terms = translation_step(state, syn, real)
     else:
-        out = task_step(state, syn, real)
+        terms = task_step(state, syn, real)
     state.iteration += 1
-    for key, val in out.items():
+    record = dict.fromkeys(L.BREAKDOWN_KEYS, np.float32(0.0))
+    for key, term in terms.items():
+        val = record[key] = np.float32(term.item())
         avg = state.running[key]
         avg[...] = avg * RUNNING_DECAY + val * (np.float32(1.0) - RUNNING_DECAY)
-    return out
+    return record
 
 
 # -- checkpoints ----------------------------------------------------------------------
@@ -480,7 +475,7 @@ def load_checkpoint(path: str, config: TrainConfig | None = None) -> TrainState:
         if missing:
             raise ConfigError(f"missing config key {missing[0]!r}")
         stored = build_train_config(kv)
-    except (ConfigError, UsageError) as exc:
+    except ConfigError as exc:
         raise FormatError(f"{r.label}: stored config refused: {exc}") from None
     config = stored if config is None else config
     for key in SHAPE_KEYS:
@@ -550,6 +545,9 @@ def run_training(config: TrainConfig, data_dir: str, out_dir: str,
     real_train, real_val = _holdout(real, config.val_count)
     if not syn_train or not real_train:
         raise UsageError(f"val_count={config.val_count} leaves no training data")
+    if config.objective == "full" and config.total_iters % config.k:
+        warnings.warn(f"total_iters={config.total_iters} is not a multiple of "
+                      f"k={config.k}; the last alternation window is partial")
 
     os.makedirs(out_dir, exist_ok=True)
     log_lines = []

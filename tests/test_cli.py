@@ -1,7 +1,9 @@
 import filecmp
 import os
+import re
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +164,38 @@ class TestTrain:
                      "--weights.lambda_ms", "0.1"])
         assert code == 0
         assert "weights.lambda_ms=0.1" in capsys.readouterr().out
+
+
+def tiny_train(data, out, *flags):
+    """``train`` on a small_run-sized dataset at the smallest model."""
+    return main(["train", "--data", data, "--out", out, "--batch_size", "1",
+                 "--channels_base", "4", "--max_disp", "8", "--max_flow", "4",
+                 "--val_count", "1", "--eval_every", "0", *flags])
+
+
+class TestWarnings:
+    def test_resume_warns_in_one_line(self, small_run, tmp_path, capsys):
+        first = str(tmp_path / "t5")
+        assert tiny_train(small_run["data"], first, "--total_iters", "5") == 0
+        capsys.readouterr()
+        assert tiny_train(small_run["data"], str(tmp_path / "t10"), "--total_iters", "10",
+                          "--resume", os.path.join(first, "checkpoint_final.wck")) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(r"warning: \S+: resuming with a changed config: "
+                            r"total_iters 5 -> 10", err[0])
+
+    def test_partial_window_is_the_runs_alone(self, small_run, tmp_path, capsys):
+        out = str(tmp_path / "t3")
+        assert tiny_train(small_run["data"], out, "--total_iters", "3") == 0
+        assert capsys.readouterr().err == ("warning: total_iters=3 is not a multiple of k=5; "
+                                           "the last alternation window is partial\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["eval", "--checkpoint", os.path.join(out, "checkpoint_final.wck"),
+                         "--data", small_run["data"]]) == 0
+        assert capsys.readouterr().err == ""
+        assert not caught
 
 
 class TestEval:

@@ -144,6 +144,18 @@ def correlation_bruteforce(a, b, disps):
     return out
 
 
+def upsample_matrix(n):
+    """(2n, n) matrix of the factor-2 bilinear upsample along one axis, with
+    each edge sample replicated past the edge."""
+    u = np.zeros((2 * n, n))
+    for i in range(n):
+        u[2 * i, max(i - 1, 0)] += 0.25
+        u[2 * i, i] += 0.75
+        u[2 * i + 1, i] += 0.75
+        u[2 * i + 1, min(i + 1, n - 1)] += 0.25
+    return u
+
+
 def gaussian_window(size, sigma):
     t = np.arange(size) - (size - 1) / 2.0
     g = np.exp(-t * t / (2 * sigma * sigma))
@@ -347,6 +359,17 @@ class TestResize:
         with pytest.raises(ShapeError):
             K.downsample2(rand((1, 1, 3, 4)))
 
+    @pytest.mark.parametrize("hw", [(1, 1), (1, 2), (2, 1), (2, 2), (3, 5)])
+    def test_upsample_matches_matrix_and_adjoint(self, hw):
+        # at extent 1 both edge taps replicate the same sample
+        x = Tensor(rand((2, 3) + hw, seed=27).data, requires_grad=True)
+        y = K.upsample2(x)
+        want = upsample_matrix(hw[0]) @ x.data @ upsample_matrix(hw[1]).T
+        assert np.allclose(y.data, want)
+        g = rand(y.shape, seed=28).data
+        (gx,) = y._backward(g)
+        assert np.isclose((y.data * g).sum(), (x.data * gx).sum())
+
 
 def pixel_offset(rng, shape, lo, hi):
     """A (b, c, h, w) offset of uniform values in [lo, hi], with every third
@@ -457,6 +480,26 @@ class TestCorrelation:
         wantT = correlation_bruteforce(a.data.transpose(0, 1, 3, 2),
                                        b.data.transpose(0, 1, 3, 2), [0, 1, 2])
         assert np.allclose(got, wantT.transpose(0, 1, 3, 2))
+
+
+    @pytest.mark.parametrize("axis", [2, 3])
+    @pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+    def test_widest_window_matches_bruteforce(self, axis, signed):
+        # max_disp = extent - 1: every displacement but 0 reads past the edge
+        along = (4, 5) if axis == 3 else (5, 4)
+        a, b = (Tensor(rand((2, 3) + along, seed=seed).data, requires_grad=True)
+                for seed in (25, 26))
+        disps = list(range(-4, 5)) if signed else list(range(5))
+        out = K.correlation(a, b, 4, axis=axis, signed=signed)
+        flip = (lambda v: v) if axis == 3 else (lambda v: v.transpose(0, 1, 3, 2))
+        want = flip(correlation_bruteforce(flip(a.data), flip(b.data), disps))
+        assert np.allclose(out.data, want)
+        # bilinear: <corr(a, b), g> is also <a, da> and <b, db>
+        g = rand(out.shape, seed=29).data
+        da, db = out._backward(g)
+        total = (out.data * g).sum()
+        assert np.isclose(total, (a.data * da).sum())
+        assert np.isclose(total, (b.data * db).sum())
 
 
 class TestBlur:

@@ -6,7 +6,7 @@ import pytest
 from warpadapt import kernels as K
 from warpadapt import losses as L
 from warpadapt.autograd import Tensor, backward
-from warpadapt.errors import UsageError
+from warpadapt.errors import ConfigError
 from warpadapt.networks import Extractor, Generator, StereoNet
 
 from test_kernels import ssim_bruteforce
@@ -235,5 +235,5 @@ class TestObjectives:
         assert w.lambda_flow_warp_real == 5
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ConfigError):
             L.LossWeights(lambda_corr=-1.0)

@@ -35,8 +35,7 @@ def stereo_valid(views):
     ys, xs = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64),
                          indexing="ij")
     disparity = np.array([layer.disp for layer in layers])[id_left]
-    ok, ref = scenegen._lookup_ids(id_right, xs - disparity, ys)
-    return (ok & (ref == id_left))[None, None]
+    return scenegen._shows_layer(id_right, xs - disparity, ys, id_left)[None, None]
 
 
 def stereo_error(sample, valid):
@@ -126,6 +125,22 @@ COMPOSITE_CASES = ([(seed, {}) for seed in range(6)]
                    + [(seed, {"width": 96, "height": 48, "max_disp": 8}) for seed in range(3)])
 COMPOSITE_IDS = [f"seed{seed}" + "".join(f"-{k}{v}" for k, v in kwargs.items())
                  for seed, kwargs in COMPOSITE_CASES]
+
+
+class TestShowsLayer:
+    # a 3x4 owner map of layer 0 with one pixel of layer 1 at row 2, column 3
+    @pytest.mark.parametrize("qx, qy, shows", [
+        (1.5, 0.5, True), (0.0, 1.0, True), (2.5, 1.5, False), (3.0, 0.5, False),
+        (-0.5, 0.5, False), (1.5, 1.6, True), (1.5, 2.0, False), (-5.0, 1.0, False),
+        (9.0, 9.0, False),
+    ], ids=["inside", "inside_on_grid", "corner_on_other_layer", "straddles_right_edge",
+            "straddles_left_edge", "inside_reaching_last_row", "straddles_bottom_edge",
+            "fully_outside_left", "fully_outside_below_right"])
+    def test_all_four_corners_show_the_layer(self, qx, qy, shows):
+        ids = np.zeros((3, 4), dtype=np.int32)
+        ids[2, 3] = 1
+        got = scenegen._shows_layer(ids, np.array([qx]), np.array([qy]), np.array([0]))
+        assert got.tolist() == [shows]
 
 
 class TestComposite:

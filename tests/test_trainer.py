@@ -9,7 +9,7 @@ from warpadapt import trainer as T
 from warpadapt.autograd import Tensor
 from warpadapt.dataio import CHECKPOINT_MAGIC, Reader, pack_tensor
 from warpadapt.errors import ConfigError, FormatError
-from warpadapt.losses import LossWeights
+from warpadapt.losses import BREAKDOWN_KEYS, LossWeights
 from warpadapt.scenegen import apply_domain_shift, generate_scene, shift_preset, write_dataset
 
 
@@ -150,9 +150,40 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             tiny_config(k=0)
 
-    def test_non_multiple_warns(self):
-        with pytest.warns(UserWarning):
-            tiny_config(k=4, total_iters=6)
+    def test_non_multiple_warns(self, tmp_path):
+        # the run warns, not the config: a config is also built to eval,
+        # translate or resume, and source_only has no alternation to cut
+        data = tiny_dataset(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = tiny_config(k=2, total_iters=1)
+            T.run_training(tiny_config(k=2, total_iters=1, objective="source_only"),
+                           data, str(tmp_path / "source_only"))
+        with pytest.warns(UserWarning, match="total_iters=1 is not a multiple of k=2"):
+            T.run_training(cfg, data, str(tmp_path / "full"))
+
+    def test_running_averages_count_only_their_steps(self, tmp_path):
+        # k = 2: iterations 0 and 2 translate, 1 and 3 train the task nets
+        data = tiny_dataset(tmp_path)
+        cfg = tiny_config(k=2, total_iters=4)
+        state = T.init_state(cfg)
+        from warpadapt.scenegen import read_dataset, split_domains
+        syn, real = split_domains(read_dataset(data))
+        syn_t, real_t = syn[:-2], real[:-2]
+        records = []
+        for it in range(cfg.total_iters):
+            si = T._batch_indices(len(syn_t), cfg.batch_size, cfg.seed, 1, it)
+            ri = T._batch_indices(len(real_t), cfg.batch_size, cfg.seed, 2, it)
+            records.append(T.train_step(state, T.make_batch(syn_t, si), T.make_batch(real_t, ri)))
+        task_keys = ("disp_supervised", "disp_warp_real", "flow_supervised",
+                     "flow_warp_real", "stereo_total", "flow_total")
+        one = np.float32(1.0)
+        for key in BREAKDOWN_KEYS:
+            want = np.float32(0.0)
+            for rec in records[1::2] if key in task_keys else records[0::2]:
+                want = want * T.RUNNING_DECAY + rec[key] * (one - T.RUNNING_DECAY)
+            assert state.running[key].item() == want, key
+        assert records[1]["cycle"] == 0 and records[0]["cycle"] > 0
 
 
 class TestDeterminism:
