@@ -16,7 +16,7 @@ import numpy as np
 
 from . import metrics as M
 from .autograd import Tensor, no_grad
-from .errors import ConfigError, FormatError, MetricError, UsageError
+from .errors import ConfigError, FormatError, MetricError, NonFiniteError, UsageError
 from .scenegen import (SceneSample, apply_domain_shift, check_scene_params,
                        generate_scene, read_dataset, sample_from_bytes,
                        sample_to_bytes, shift_preset, split_domains, write_dataset)
@@ -237,6 +237,9 @@ def main(argv=None) -> int:
         except (FormatError, MetricError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_DATA
+        except NonFiniteError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VERIFY
 
 
 if __name__ == "__main__":

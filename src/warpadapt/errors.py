@@ -19,3 +19,7 @@ class FormatError(ValueError):
 
 class MetricError(ValueError):
     """A metric is undefined for the given inputs (e.g. empty valid set)."""
+
+
+class NonFiniteError(ArithmeticError):
+    """A training loss or gradient became NaN or infinite."""

@@ -23,7 +23,7 @@ from . import losses as L
 from . import metrics as M
 from .autograd import Tensor, backward, concat, no_grad, split, zero_grads
 from .dataio import CHECKPOINT_MAGIC, Reader, pack_tensor
-from .errors import ConfigError, FormatError, UsageError
+from .errors import ConfigError, FormatError, NonFiniteError, UsageError
 from .networks import Discriminator, Extractor, FlowNet, Generator, StereoNet
 from .scenegen import FIELD_ORDER, read_dataset, split_domains
 from .warping import multiscale_warp_loss
@@ -271,13 +271,25 @@ def make_batch(samples, indices):
 
 # -- the two step kinds --------------------------------------------------------------
 
-def _optimize(state: TrainState, loss: Tensor, *stepped: str) -> None:
+def _optimize(state: TrainState, loss: Tensor, terms: dict, *stepped: str) -> None:
     """Backpropagate ``loss`` and step only the named optimizers; every
     optimizer's gradients are cleared before and after, so nothing carries
-    over into the next sub-step."""
+    over into the next sub-step. A NaN or infinity in ``loss``, in one of the
+    ``terms`` it is built from or in a stepped optimizer's gradient raises
+    NonFiniteError before any optimizer steps."""
+    bad = [key for key, term in terms.items() if not np.isfinite(term.data).all()]
+    if bad or not np.isfinite(loss.data).all():
+        raise NonFiniteError(f"iteration {state.iteration}: non-finite loss "
+                             f"({', '.join(bad) or 'the weighted sum'})")
     for opt in state.opts.values():
         opt.zero_grad()
     backward(loss)
+    bad = [name for name in stepped
+           if not all(p.grad is None or np.isfinite(p.grad).all()
+                      for p in state.opts[name].params.values())]
+    if bad:
+        raise NonFiniteError(f"iteration {state.iteration}: non-finite gradient "
+                             f"of the {', '.join(bad)} parameters")
     for name in stepped:
         state.opts[name].step()
     for opt in state.opts.values():
@@ -314,7 +326,8 @@ def translation_step(state: TrainState, syn: dict, real: dict) -> dict:
     d_real_a = da.forward(concat([x_l, x_r], axis=0))
     d_fake_a = da.forward(fy_l.detach())
     _, disc_a = L.adversarial_loss(d_real_a, d_fake_a)
-    _optimize(state, disc_b + disc_a, "disc")
+    disc_terms = {"adv_syn2real_disc": disc_b, "adv_real2syn_disc": disc_a}
+    _optimize(state, disc_b + disc_a, disc_terms, "disc")
 
     # generator sub-step against the updated discriminators
     adv_a2b, _ = L.adversarial_loss(d_real_b.detach(),
@@ -342,10 +355,9 @@ def translation_step(state: TrainState, syn: dict, real: dict) -> dict:
                                lambda: L.mode_seeking_loss(fx_l, fx_t1, x_l, x_t1)),
     }
     total, translation = L.translation_objective(parts, w)
-    _optimize(state, total, "gen")
+    _optimize(state, total, parts, "gen")
 
-    return {**parts, "adv_syn2real_disc": disc_b, "adv_real2syn_disc": disc_a,
-            "translation": translation, "translation_total": total}
+    return {**parts, **disc_terms, "translation": translation, "translation_total": total}
 
 
 def _maybe(weight: float, fn):
@@ -394,7 +406,7 @@ def task_step(state: TrainState, syn: dict, real: dict | None) -> dict:
     total_d = L.stereo_objective(parts, w)
     total_f = L.flow_objective(parts, w)
 
-    _optimize(state, total_d + total_f, "stereo", "flow")
+    _optimize(state, total_d + total_f, parts, "stereo", "flow")
 
     return {**parts, "stereo_total": total_d, "flow_total": total_f}
 
@@ -438,6 +450,8 @@ def _state_records(state: TrainState) -> dict:
 
 
 def save_checkpoint(state: TrainState, path: str) -> None:
+    """Write the state to a file beside ``path``, then rename it over ``path``,
+    so a failed write leaves any previous checkpoint there whole."""
     text = config_to_text(state.config).encode()
     records = _state_records(state)
     chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(text)), text,
@@ -447,8 +461,15 @@ def save_checkpoint(state: TrainState, path: str) -> None:
         chunks += [struct.pack("<H", len(nb)), nb, pack_tensor(arr)]
     counts = [opt.t for opt in state.opts.values()] + [state.iteration]
     chunks.append(struct.pack(f"<{len(counts)}Q", *counts))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(chunks))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str, config: TrainConfig | None = None) -> TrainState:

@@ -173,6 +173,21 @@ def tiny_train(data, out, *flags):
                  "--val_count", "1", "--eval_every", "0", *flags])
 
 
+class TestNonFinite:
+    def test_diverging_run_exits_1_with_one_error_line(self, small_run, tmp_path, capsys):
+        out = tmp_path / "nan"
+        capsys.readouterr()
+        assert tiny_train(small_run["data"], str(out), "--lr_disp", "1e6",
+                          "--total_iters", "10") == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1
+        assert re.fullmatch(r"error: iteration \d+: non-finite (loss \(.+\)|gradient of .+)",
+                            errors[0])
+        assert "Traceback" not in err
+        assert not (out / "checkpoint_final.wck").exists()
+
+
 class TestWarnings:
     def test_resume_warns_in_one_line(self, small_run, tmp_path, capsys):
         first = str(tmp_path / "t5")

@@ -57,6 +57,40 @@ def conv_transpose2d_bruteforce(x, w, b, stride, pad):
     return out
 
 
+def correlate_whole_window(xp, w):
+    """Stride-1 valid correlation of a padded channel-major (cin, b, H, W)
+    array: one GEMM per tap over the whole flat window, summed in tap order.
+    This is the untiled reference for ``K._correlate``."""
+    cin, bs, hp, wp = xp.shape
+    cout, _, kh, kw = w.shape
+    flat = xp.reshape(cin, -1)
+    span = flat.shape[1] - (kh - 1) * wp - (kw - 1)
+    out = 0
+    for i in range(kh):
+        for j in range(kw):
+            out += K._matmul(w[:, :, i, j], flat[:, i * wp + j:i * wp + j + span])
+    grid = np.empty((cout, bs * hp * wp), dtype=out.dtype)
+    grid[:, :span] = out
+    return grid.reshape(cout, bs, hp, wp)[:, :, :hp - kh + 1, :wp - kw + 1]
+
+
+def wgrad_whole_window(gc, xp, kh, kw):
+    """Weight gradient of ``correlate_whole_window`` for a (cout, b, ho, wo)
+    output gradient: one (cout x n) @ (n x cin) product per tap."""
+    cout, bs, ho, wo = gc.shape
+    cin, _, hp, wp = xp.shape
+    grid = np.zeros((cout, bs, hp, wp), dtype=gc.dtype)
+    grid[:, :, :ho, :wo] = gc
+    gm = grid.reshape(cout, -1)
+    flat = xp.reshape(cin, -1)
+    span = flat.shape[1] - (kh - 1) * wp - (kw - 1)
+    dw = np.empty((cout, cin, kh, kw), dtype=gc.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            dw[:, :, i, j] = gm[:, :span] @ flat[:, i * wp + j:i * wp + j + span].T
+    return dw
+
+
 def bilinear_sample_bruteforce(img, gx, gy):
     """Zero outside: each of the four taps contributes only when in bounds."""
     c, h, w = img.shape
@@ -332,6 +366,111 @@ class TestConv:
         b = rand((1, 4, 1, 1))
         with pytest.raises(ShapeError):
             K.conv2d(x, w, b)
+
+
+def tile_count(a, cout, kh=3, kw=3):
+    """Column tiles ``K._correlate`` runs over the padded input ``a`` for ``cout`` outputs."""
+    return len(K._tiles(K._span(a, kh, kw), (a.shape[0] + 2 * cout) * a.itemsize))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestTiledConv:
+    """Stride-1 layers above the tile budget. (2, 13, 64, 128) -> 8 is the
+    flow net's full-resolution decoder conv at the default config."""
+
+    @staticmethod
+    def layer(dtype, shape=(2, 13, 64, 128), cout=8, seed=0):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True)
+        w = Tensor((rng.standard_normal((cout, shape[1], 3, 3)) * 0.3).astype(dtype),
+                   requires_grad=True)
+        b = Tensor(np.zeros((1, cout, 1, 1), dtype=dtype))
+        return rng, x, w, b
+
+    def test_forward_and_input_adjoint_match_whole_window_bits(self, dtype):
+        rng, x, w, b = self.layer(dtype)
+        xp = K._channel_major(x.data, 1)
+        assert tile_count(xp, 8) > 1
+        y = K.conv2d(x, w, b)
+        assert np.array_equal(y.data, correlate_whole_window(xp, w.data).transpose(1, 0, 2, 3))
+        # the input adjoint is the full correlation of g with the flipped kernel
+        g = rng.standard_normal(y.shape).astype(dtype)
+        gp = K._channel_major(g, 2)
+        w_adj = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        assert tile_count(gp, 13) > 1
+        dx, _, _ = y._backward(g)
+        want = correlate_whole_window(gp, w_adj)[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)
+        assert np.array_equal(dx, want)
+
+    def test_one_output_channel_keeps_bits(self, dtype):
+        # a 1-row product is a GEMV, so such a layer keeps one window at any
+        # size; batch 4 is the first at which the pf head passes the budget
+        _, x, w, b = self.layer(dtype, shape=(4, 8, 64, 128), cout=1)
+        xp = K._channel_major(x.data, 1)
+        assert tile_count(xp, 1) > 1
+        y = K.conv2d(x, w, b)
+        assert np.array_equal(y.data, correlate_whole_window(xp, w.data).transpose(1, 0, 2, 3))
+
+    def test_weight_gradient_matches_whole_window(self, dtype):
+        # tiles split each tap's sum over columns, so dw changes summation order
+        rng, x, w, b = self.layer(dtype)
+        y = K.conv2d(x, w, b)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        _, dw, _ = y._backward(g)
+        want = wgrad_whole_window(K._channel_major(g), K._channel_major(x.data, 1), 3, 3)
+        tol = 1e-5 if dtype == np.float32 else 1e-13
+        assert np.abs(dw - want).max() <= tol * np.abs(want).max()
+
+    def test_gradients_are_adjoints(self, dtype):
+        # linear in x and in w: <dy, conv(x', w)> == <x', dx>, <dy, conv(x, w')> == <w', dw>
+        rng, x, w, b = self.layer(dtype)
+        y = K.conv2d(x, w, b)
+        dy = rng.standard_normal(y.shape).astype(dtype)
+        backward((y * Tensor(dy)).sum())
+        x2 = rng.standard_normal(x.shape).astype(dtype)
+        w2 = rng.standard_normal(w.shape).astype(dtype)
+        rtol = 1e-4 if dtype == np.float32 else 1e-11
+        lhs_x = (dy.astype(np.float64) * K.conv2d(Tensor(x2), w, b).data).sum()
+        lhs_w = (dy.astype(np.float64) * K.conv2d(x, Tensor(w2), b).data).sum()
+        assert np.isclose(lhs_x, (x2.astype(np.float64) * x.grad).sum(), rtol=rtol)
+        assert np.isclose(lhs_w, (w2.astype(np.float64) * w.grad).sum(), rtol=rtol)
+
+    @pytest.mark.parametrize("needs", ["both", "x", "w"])
+    def test_stride2_transposed_backward_matches_two_passes(self, dtype, needs):
+        # the decoder's uf layer: dx correlates the padded gradient with w, and
+        # dw pairs the same taps with x; one pass over the taps feeds both
+        rng = np.random.default_rng(3)
+        x = Tensor(rng.standard_normal((2, 8, 32, 64)).astype(dtype),
+                   requires_grad=needs in ("both", "x"))
+        w = Tensor(rng.standard_normal((8, 8, 4, 4)).astype(dtype),
+                   requires_grad=needs in ("both", "w"))
+        b = Tensor(np.zeros((1, 8, 1, 1), dtype=dtype), requires_grad=True)
+        y = K.conv_transpose2d(x, w, b, stride=2, pad=1)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        dx, dw, _ = y._backward(g)
+        gp = K._channel_major(g, 1)
+        if x.requires_grad:
+            assert np.array_equal(dx, K._correlate(gp, w.data, 2).transpose(1, 0, 2, 3))
+        else:
+            assert dx is None
+        if w.requires_grad:
+            assert np.array_equal(dw, K._correlate_wgrad(K._channel_major(x.data), gp, 4, 4, 2))
+        else:
+            assert dw is None
+
+
+def test_interior_tiles_end_on_whole_blocks():
+    # every tile but the last is a whole number of TILE_ALIGN columns, so no
+    # tile ends in a partial GEMM block inside the output. In float64 the
+    # decoder's dh layer, (2, 18, 32, 64) -> 8, runs two tiles; a tile ending
+    # mid-block there changes bits where it ends
+    rng = np.random.default_rng(4)
+    xp = K._channel_major(rng.standard_normal((2, 18, 32, 64)), 1)
+    w = rng.standard_normal((8, 18, 3, 3))
+    tiles = K._tiles(K._span(xp, 3, 3), (18 + 2 * 8) * xp.itemsize)
+    assert len(tiles) > 1
+    assert all((e - s) % K.TILE_ALIGN == 0 for s, e in tiles[:-1])
+    assert np.array_equal(K._correlate(xp, w, 1), correlate_whole_window(xp, w))
 
 
 class TestResize:

@@ -1,3 +1,4 @@
+import os
 import re
 import struct
 import warnings
@@ -5,10 +6,11 @@ import warnings
 import numpy as np
 import pytest
 
+from warpadapt import kernels as K
 from warpadapt import trainer as T
 from warpadapt.autograd import Tensor
 from warpadapt.dataio import CHECKPOINT_MAGIC, Reader, pack_tensor
-from warpadapt.errors import ConfigError, FormatError
+from warpadapt.errors import ConfigError, FormatError, NonFiniteError
 from warpadapt.losses import BREAKDOWN_KEYS, LossWeights
 from warpadapt.scenegen import apply_domain_shift, generate_scene, shift_preset, write_dataset
 
@@ -295,6 +297,36 @@ class TestCheckpoint:
         loaded = T.load_checkpoint(path)
         assert [opt.t for opt in loaded.opts.values()] == [2 ** 24 + 1 + n for n in range(4)]
 
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        state = T.init_state(tiny_config())
+        path = str(tmp_path / "c.wck")
+        T.save_checkpoint(state, path)
+        before = open(path, "rb").read()
+
+        class FullDisk:
+            """A file that takes half of what it is given, then fails."""
+
+            def __init__(self, name, mode):
+                self.fh = open(name, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        state.iteration = 9
+        monkeypatch.setattr(T, "open", FullDisk, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            T.save_checkpoint(state, path)
+        monkeypatch.undo()
+        assert open(path, "rb").read() == before
+        assert os.listdir(tmp_path) == ["c.wck"]
+
     @staticmethod
     def _refuses_version(tmp_path, version):
         path = tmp_path / "c.wck"
@@ -415,6 +447,50 @@ class TestCheckpoint:
         res_steps = [l for l in log_resumed if not l.startswith("eval")]
         assert res_steps == full_steps[6:]
         assert rep_res.to_text() == rep_full.to_text()
+
+
+class TestNonFinite:
+    @staticmethod
+    def _stereo_param(state):
+        return state.nets["stereo"].parameters()["df.w"]
+
+    def _assert_nothing_stepped(self, state, before):
+        assert all(opt.t == 0 for opt in state.opts.values())
+        assert np.array_equal(self._stereo_param(state).data, before)
+
+    def test_non_finite_loss_stops_before_backward(self):
+        state = T.init_state(tiny_config())
+        state.iteration = 4
+        p = self._stereo_param(state)
+        before = p.data.copy()
+        nan = Tensor(np.full((1, 1, 1, 1), np.nan, dtype=np.float32))
+        loss = (p * 0.0).sum() + nan
+        with pytest.raises(NonFiniteError,
+                           match=r"iteration 4: non-finite loss \(disp_supervised\)"):
+            T._optimize(state, loss, {"disp_supervised": nan}, "stereo")
+        assert p.grad is None
+        self._assert_nothing_stepped(state, before)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_gradient_stops_before_step(self):
+        # sqrt's slope at 0 is infinite, so a finite loss gets a NaN gradient
+        state = T.init_state(tiny_config())
+        p = self._stereo_param(state)
+        before = p.data.copy()
+        loss = K.sqrt((p * 0.0).sum())
+        with pytest.raises(NonFiniteError, match="iteration 0: non-finite gradient of the stereo"):
+            T._optimize(state, loss, {"disp_supervised": loss}, "stereo", "flow")
+        self._assert_nothing_stepped(state, before)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_diverging_run_writes_no_checkpoint(self, tmp_path):
+        data = tiny_dataset(tmp_path)
+        out = tmp_path / "o"
+        with pytest.raises(NonFiniteError, match=r"iteration \d+: non-finite"):
+            T.run_training(tiny_config(lr_disp=1e6, total_iters=9), data, str(out))
+        assert not (out / "checkpoint_final.wck").exists()
 
 
 class TestSourceOnly:
