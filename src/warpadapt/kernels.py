@@ -7,7 +7,8 @@ kernel tap) and are each other's adjoint: the forward pass of one is the input
 gradient of the other. At stride 1 every tap reads a unit-stride window of the
 padded input viewed as one flat matrix, so no tap copies its input, and a
 layer whose working set passes TILE_BYTES runs in column tiles, every tap on
-one tile before the next; the tiles keep the forward and input-gradient bits.
+one tile before the next; each output sums the same per-tap products in the
+same order as without tiles.
 A tap that sums over a single channel is a broadcast outer product, not a
 GEMM. The Gaussian blur under SSIM is a product with a cached banded matrix
 per axis.
@@ -119,14 +120,17 @@ def smooth_l1(a: Tensor, b: Tensor) -> Tensor:
 # TILE_BYTES, well under a core's L2; a layer that fits runs as one tile. Each
 # tile runs every tap before the next tile, so the input streams through the
 # cache once rather than once per tap. Every output still sums the same per-tap
-# dot products in the same order, so the tiles change no bit, with one
-# exception that keeps one window: a 1-row product, which BLAS runs as a GEMV
-# whose bits depend on the window's width. The weight gradient runs the same
+# dot products in the same order. Whether BLAS gives each dot product the same
+# bits in a tile as in the whole window depends on the kernels it picks per
+# shape, so that is measured, not guaranteed: on OpenBLAS 0.3.31 (SkylakeX
+# kernels) the tiles keep the forward and input-gradient bits, except in a
+# 1-row product, which runs as a GEMV whose bits depend on the window's width,
+# so a 1-channel output keeps one window. The weight gradient runs the same
 # tiles and sums each tap's (cin x n) @ (n x cout) products over them, which
-# changes its summation order. Measured on OpenBLAS 0.3.31 (SkylakeX kernels),
-# most of the gain comes from the tile GEMMs being small enough
-# (M * N * K <= 10**6) for its unpacked small-matrix kernels, so retune
-# TILE_BYTES against the benchmark, not against the cache size alone.
+# changes its summation order. On that OpenBLAS most of the gain comes from the
+# tile GEMMs being small enough (M * N * K <= 10**6) for its unpacked
+# small-matrix kernels, so retune TILE_BYTES against the benchmark, not
+# against the cache size alone.
 
 TILE_BYTES = 1 << 20
 TILE_ALIGN = 64
@@ -146,10 +150,11 @@ def _batch_major(v: np.ndarray, bias: np.ndarray) -> np.ndarray:
 
 
 def _tiles(span: int, col_bytes: int) -> list:
-    """Equal column tiles [s, e) of [0, span), each holding at most TILE_BYTES
-    of working set at ``col_bytes`` per column. Every tile but the last is a
-    whole number of TILE_ALIGN columns, so only the last ends in a partial
-    GEMM block, as the whole window does."""
+    """Equal column tiles [s, e) of [0, span), each holding about TILE_BYTES
+    of working set at ``col_bytes`` per column: the size is rounded up to
+    whole TILE_ALIGN columns, so a tile may pass the budget by less than
+    TILE_ALIGN columns. Only the last tile ends in a partial GEMM block, as
+    the whole window does."""
     count = -(-span * col_bytes // TILE_BYTES)
     size = -(-span // (count * TILE_ALIGN)) * TILE_ALIGN
     return [(s, min(s + size, span)) for s in range(0, span, size)]
@@ -200,14 +205,19 @@ def _correlate(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
         for i, j, tap in _taps(xp, kh, kw, stride):
             out += _matmul(w[:, :, i, j], tap.reshape(cin, -1))
         return out.reshape(cout, bs, ho, wo)
-    grid = np.empty((cout, bs * hp * wp), dtype=np.result_type(xp, w))
     span = _span(xp, kh, kw)
     # a 1-row product is a GEMV, whose bits depend on the window's width
-    tiles = _tiles(span, (cin + 2 * cout) * grid.itemsize) if cout > 1 else [(0, span)]
+    tiles = (_tiles(span, (cin + 2 * cout) * np.result_type(xp, w).itemsize)
+             if cout > 1 else [(0, span)])
+    grid = None
     for s, e in tiles:
         out = 0
         for i, j, tap in _taps(xp, kh, kw, 1, (s, e)):
             out += _matmul(w[:, :, i, j], tap)
+        if grid is None:
+            # allocated after the first tile's taps, so their temporaries are
+            # never live beside it in a one-tile layer
+            grid = np.empty((cout, bs * hp * wp), dtype=out.dtype)
         grid[:, s:e] = out
     return grid.reshape(cout, bs, hp, wp)[:, :, :ho, :wo]
 
@@ -302,21 +312,29 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int 
     def backward(g):
         db = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
         gp = _channel_major(g, pad)
-        if stride > 1 and x.requires_grad and w.requires_grad:
+        dx = dw = None
+        if stride == 1:
+            if x.requires_grad:
+                dx = _correlate(gp, w.data, 1)
+            if w.requires_grad:
+                dw = _correlate_wgrad(_channel_major(x.data), gp, kh, kw, 1)
+        else:
             # dx correlates gp with w, and dw pairs the same taps of gp with x:
-            # copy each strided tap once and feed both
-            xm = _channel_major(x.data).reshape(cin, -1)
-            dxm, dw = 0, np.empty(w.shape, dtype=np.result_type(xm, gp))
+            # copy each strided tap once and feed whichever needs it
+            dxm = 0
+            if w.requires_grad:
+                xm = _channel_major(x.data).reshape(cin, -1)
+                dw = np.empty(w.shape, dtype=np.result_type(xm, gp))
             for i, j, tap in _taps(gp, kh, kw, stride):
                 tap = tap.reshape(cout, -1)
-                dxm += _matmul(w.data[:, :, i, j], tap)
-                dw[:, :, i, j] = xm @ tap.T
-            dxm = dxm.reshape(cin, bs, h, wd)
-        else:
-            dw = (_correlate_wgrad(_channel_major(x.data), gp, kh, kw, stride)
-                  if w.requires_grad else None)
-            dxm = _correlate(gp, w.data, stride) if x.requires_grad else None
-        dx = None if dxm is None else np.ascontiguousarray(dxm.transpose(1, 0, 2, 3))
+                if x.requires_grad:
+                    dxm += _matmul(w.data[:, :, i, j], tap)
+                if w.requires_grad:
+                    dw[:, :, i, j] = xm @ tap.T
+            if x.requires_grad:
+                dx = dxm.reshape(cin, bs, h, wd)
+        if dx is not None:
+            dx = np.ascontiguousarray(dx.transpose(1, 0, 2, 3))
         return dx, dw, db
 
     return result(out, (x, w, b), backward)

@@ -552,9 +552,9 @@ def run_training(config: TrainConfig, data_dir: str, out_dir: str,
                  resume: str | None = None):
     """Train on a generated dataset directory; returns (state, log lines).
 
-    Writes ``train.log`` and ``checkpoint_final.wck`` into ``out_dir``. The
-    validation split is the tail ``val_count`` samples of each domain; only the
-    real half is scored.
+    Writes ``train.log`` and ``checkpoint_final.wck`` into ``out_dir``; a run
+    that stops on an error writes ``train.log`` alone. The validation split is
+    the tail ``val_count`` samples of each domain; only the real half is scored.
     """
     state = load_checkpoint(resume, config) if resume else init_state(config)
 
@@ -580,21 +580,23 @@ def run_training(config: TrainConfig, data_dir: str, out_dir: str,
                          + report.to_text().replace("\n", "\t"))
         return report
 
-    do_eval()
-    while state.iteration < config.total_iters:
-        it = state.iteration
-        syn_idx = _batch_indices(len(syn_train), config.batch_size, config.seed, 1, it)
-        real_idx = _batch_indices(len(real_train), config.batch_size, config.seed, 2, it)
-        breakdown = train_step(state, make_batch(syn_train, syn_idx),
-                               make_batch(real_train, real_idx))
-        log_lines.append(format_log_line(it, breakdown))
-        if config.eval_every and state.iteration % config.eval_every == 0 \
-                and state.iteration < config.total_iters:
-            do_eval()
-    final_report = do_eval()
-
-    log_path = os.path.join(out_dir, "train.log")
-    with open(log_path, "w") as fh:
-        fh.write("".join(line + "\n" for line in log_lines))
+    try:
+        do_eval()
+        while state.iteration < config.total_iters:
+            it = state.iteration
+            syn_idx = _batch_indices(len(syn_train), config.batch_size, config.seed, 1, it)
+            real_idx = _batch_indices(len(real_train), config.batch_size, config.seed, 2, it)
+            breakdown = train_step(state, make_batch(syn_train, syn_idx),
+                                   make_batch(real_train, real_idx))
+            log_lines.append(format_log_line(it, breakdown))
+            if config.eval_every and state.iteration % config.eval_every == 0 \
+                    and state.iteration < config.total_iters:
+                do_eval()
+        final_report = do_eval()
+    finally:
+        # a run stopped by an error (a non-finite loss) keeps the log of what it
+        # did, but writes no checkpoint
+        with open(os.path.join(out_dir, "train.log"), "w") as fh:
+            fh.write("".join(line + "\n" for line in log_lines))
     save_checkpoint(state, os.path.join(out_dir, "checkpoint_final.wck"))
     return state, log_lines, final_report

@@ -186,6 +186,11 @@ class TestNonFinite:
                             errors[0])
         assert "Traceback" not in err
         assert not (out / "checkpoint_final.wck").exists()
+        # the log keeps the initial eval and each finite iteration before the stop
+        stop = int(re.search(r"iteration (\d+)", errors[0]).group(1))
+        lines = (out / "train.log").read_text().splitlines()
+        assert lines[0].startswith("eval\t0\t")
+        assert [line.split("\t")[0] for line in lines[1:]] == [str(i) for i in range(stop)]
 
 
 class TestWarnings:

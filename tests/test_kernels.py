@@ -1,3 +1,7 @@
+import ctypes
+import glob
+import os
+
 import numpy as np
 import pytest
 
@@ -373,6 +377,37 @@ def tile_count(a, cout, kh=3, kw=3):
     return len(K._tiles(K._span(a, kh, kw), (a.shape[0] + 2 * cout) * a.itemsize))
 
 
+def openblas_config() -> str:
+    """The configuration string of the OpenBLAS bundled with numpy, naming the
+    core kernels it picked at run time; empty when there is none to ask."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_config64_", "scipy_openblas_get_config",
+                     "openblas_get_config64_", "openblas_get_config"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return ""
+
+
+# A column tile of a GEMM gives the bits of the whole product only if BLAS runs
+# both through kernels that sum each dot product in the same order, which
+# depends on the BLAS build and the CPU. It was measured on this one.
+_BLAS = openblas_config()
+on_measured_blas = pytest.mark.skipif(
+    not (_BLAS.startswith("OpenBLAS 0.3.31") and " SkylakeX " in _BLAS),
+    reason="tile bit identity was measured on OpenBLAS 0.3.31 with SkylakeX kernels")
+
+
+def assert_close(got, want):
+    """Equal up to a reordering of float sums: a few ulps of the largest value."""
+    tol = 1e-5 if want.dtype == np.float32 else 1e-13
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 class TestTiledConv:
     """Stride-1 layers above the tile budget. (2, 13, 64, 128) -> 8 is the
@@ -387,24 +422,37 @@ class TestTiledConv:
         b = Tensor(np.zeros((1, cout, 1, 1), dtype=dtype))
         return rng, x, w, b
 
-    def test_forward_and_input_adjoint_match_whole_window_bits(self, dtype):
+    def forward_and_input_adjoint(self, dtype):
+        """(y, dx) of the tiled layer and of the whole-window reference."""
         rng, x, w, b = self.layer(dtype)
         xp = K._channel_major(x.data, 1)
         assert tile_count(xp, 8) > 1
         y = K.conv2d(x, w, b)
-        assert np.array_equal(y.data, correlate_whole_window(xp, w.data).transpose(1, 0, 2, 3))
+        want_y = correlate_whole_window(xp, w.data).transpose(1, 0, 2, 3)
         # the input adjoint is the full correlation of g with the flipped kernel
         g = rng.standard_normal(y.shape).astype(dtype)
         gp = K._channel_major(g, 2)
         w_adj = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         assert tile_count(gp, 13) > 1
         dx, _, _ = y._backward(g)
-        want = correlate_whole_window(gp, w_adj)[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)
-        assert np.array_equal(dx, want)
+        want_dx = correlate_whole_window(gp, w_adj)[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)
+        return y.data, dx, want_y, want_dx
+
+    def test_forward_and_input_adjoint_match_whole_window(self, dtype):
+        y, dx, want_y, want_dx = self.forward_and_input_adjoint(dtype)
+        assert_close(y, want_y)
+        assert_close(dx, want_dx)
+
+    @on_measured_blas
+    def test_forward_and_input_adjoint_keep_whole_window_bits(self, dtype):
+        y, dx, want_y, want_dx = self.forward_and_input_adjoint(dtype)
+        assert np.array_equal(y, want_y)
+        assert np.array_equal(dx, want_dx)
 
     def test_one_output_channel_keeps_bits(self, dtype):
         # a 1-row product is a GEMV, so such a layer keeps one window at any
-        # size; batch 4 is the first at which the pf head passes the budget
+        # size, and runs the reference's very products; batch 4 is the first
+        # at which the pf head passes the budget
         _, x, w, b = self.layer(dtype, shape=(4, 8, 64, 128), cout=1)
         xp = K._channel_major(x.data, 1)
         assert tile_count(xp, 1) > 1
@@ -417,9 +465,7 @@ class TestTiledConv:
         y = K.conv2d(x, w, b)
         g = rng.standard_normal(y.shape).astype(dtype)
         _, dw, _ = y._backward(g)
-        want = wgrad_whole_window(K._channel_major(g), K._channel_major(x.data, 1), 3, 3)
-        tol = 1e-5 if dtype == np.float32 else 1e-13
-        assert np.abs(dw - want).max() <= tol * np.abs(want).max()
+        assert_close(dw, wgrad_whole_window(K._channel_major(g), K._channel_major(x.data, 1), 3, 3))
 
     def test_gradients_are_adjoints(self, dtype):
         # linear in x and in w: <dy, conv(x', w)> == <x', dx>, <dy, conv(x, w')> == <w', dw>
@@ -438,7 +484,8 @@ class TestTiledConv:
     @pytest.mark.parametrize("needs", ["both", "x", "w"])
     def test_stride2_transposed_backward_matches_two_passes(self, dtype, needs):
         # the decoder's uf layer: dx correlates the padded gradient with w, and
-        # dw pairs the same taps with x; one pass over the taps feeds both
+        # dw pairs the same taps with x; one pass over the taps feeds both,
+        # with the same products, so the bits hold on any BLAS
         rng = np.random.default_rng(3)
         x = Tensor(rng.standard_normal((2, 8, 32, 64)).astype(dtype),
                    requires_grad=needs in ("both", "x"))
@@ -459,18 +506,29 @@ class TestTiledConv:
             assert dw is None
 
 
-def test_interior_tiles_end_on_whole_blocks():
-    # every tile but the last is a whole number of TILE_ALIGN columns, so no
-    # tile ends in a partial GEMM block inside the output. In float64 the
-    # decoder's dh layer, (2, 18, 32, 64) -> 8, runs two tiles; a tile ending
-    # mid-block there changes bits where it ends
-    rng = np.random.default_rng(4)
-    xp = K._channel_major(rng.standard_normal((2, 18, 32, 64)), 1)
-    w = rng.standard_normal((8, 18, 3, 3))
-    tiles = K._tiles(K._span(xp, 3, 3), (18 + 2 * 8) * xp.itemsize)
-    assert len(tiles) > 1
-    assert all((e - s) % K.TILE_ALIGN == 0 for s, e in tiles[:-1])
-    assert np.array_equal(K._correlate(xp, w, 1), correlate_whole_window(xp, w))
+class TestTileBlocks:
+    """In float64 the decoder's dh layer, (2, 18, 32, 64) -> 8, runs two tiles."""
+
+    @staticmethod
+    def layer():
+        rng = np.random.default_rng(4)
+        xp = K._channel_major(rng.standard_normal((2, 18, 32, 64)), 1)
+        return xp, rng.standard_normal((8, 18, 3, 3))
+
+    def test_interior_tiles_end_on_whole_blocks(self):
+        # every tile but the last is a whole number of TILE_ALIGN columns, so
+        # only the last ends in a partial GEMM block, as the whole window does
+        xp, w = self.layer()
+        tiles = K._tiles(K._span(xp, 3, 3), (18 + 2 * 8) * xp.itemsize)
+        assert len(tiles) > 1
+        assert all((e - s) % K.TILE_ALIGN == 0 for s, e in tiles[:-1])
+        assert_close(K._correlate(xp, w, 1), correlate_whole_window(xp, w))
+
+    @on_measured_blas
+    def test_whole_blocks_keep_bits(self):
+        # a tile ending mid-block there changes bits where it ends
+        xp, w = self.layer()
+        assert np.array_equal(K._correlate(xp, w, 1), correlate_whole_window(xp, w))
 
 
 class TestResize:

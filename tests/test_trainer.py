@@ -491,6 +491,7 @@ class TestNonFinite:
         with pytest.raises(NonFiniteError, match=r"iteration \d+: non-finite"):
             T.run_training(tiny_config(lr_disp=1e6, total_iters=9), data, str(out))
         assert not (out / "checkpoint_final.wck").exists()
+        assert (out / "train.log").read_text().startswith("eval\t0\t")
 
 
 class TestSourceOnly:
