@@ -2,13 +2,16 @@
 
 Each kernel pairs a forward rule with a matched backward rule; composites
 (SSIM, cosine map) are assembled from primitives and differentiate through
-the graph. conv2d and conv_transpose2d share one correlate core (one GEMM per
-kernel tap) and are each other's adjoint: the forward pass of one is the input
-gradient of the other. At stride 1 every tap reads a unit-stride window of the
-padded input viewed as one flat matrix, so no tap copies its input, and a
-layer whose working set passes TILE_BYTES runs in column tiles, every tap on
-one tile before the next; each output sums the same per-tap products in the
-same order as without tiles.
+the graph. conv2d and conv_transpose2d share one core of one GEMM per kernel
+tap: a gather, which correlates a padded input with a kernel and, on the same
+taps, forms the weight gradient, and its adjoint, a scatter. conv2d's forward
+pass and weight gradient and conv_transpose2d's whole backward pass are
+gathers; conv2d's input gradient and conv_transpose2d's forward pass are the
+scatter, which at stride 1 is the gather with the flipped kernel. At stride 1
+every tap reads a unit-stride window of the padded input viewed as one flat
+matrix, so no tap copies its input, and a layer whose working set passes
+TILE_BYTES runs in column tiles, every tap on one tile before the next; each
+output sums the same per-tap products in the same order as without tiles.
 A tap that sums over a single channel is a broadcast outer product, not a
 GEMM. The Gaussian blur under SSIM is a product with a cached banded matrix
 per axis.
@@ -105,8 +108,9 @@ def smooth_l1(a: Tensor, b: Tensor) -> Tensor:
 
 # -- convolutions -------------------------------------------------------------
 #
-# The correlate core works on contiguous, zero-padded, channel-major (c, b, H, W)
-# arrays and does one GEMM per kernel tap, summed in a contiguous accumulator.
+# The gather and the scatter work on contiguous, zero-padded, channel-major
+# (c, b, H, W) arrays and do one GEMM per kernel tap, summed in a contiguous
+# accumulator; a gather asked for both outputs copies each strided tap once.
 # At stride 1 the array is read as one flat (c, b * H * W) matrix: tap (i, j)
 # is the window at offset i * W + j, a unit-stride view that BLAS reads without
 # a copy. The sum then lands on the input's (H, W) grid, valid in its top-left
@@ -124,13 +128,14 @@ def smooth_l1(a: Tensor, b: Tensor) -> Tensor:
 # bits in a tile as in the whole window depends on the kernels it picks per
 # shape, so that is measured, not guaranteed: on OpenBLAS 0.3.31 (SkylakeX
 # kernels) the tiles keep the forward and input-gradient bits, except in a
-# 1-row product, which runs as a GEMV whose bits depend on the window's width,
-# so a 1-channel output keeps one window. The weight gradient runs the same
-# tiles and sums each tap's (cin x n) @ (n x cout) products over them, which
-# changes its summation order. On that OpenBLAS most of the gain comes from the
-# tile GEMMs being small enough (M * N * K <= 10**6) for its unpacked
-# small-matrix kernels, so retune TILE_BYTES against the benchmark, not
-# against the cache size alone.
+# 1-row product, which runs as a GEMV whose bits depend on the window's width.
+# So a correlation with one input or one output channel keeps one window (a
+# 1-column product is an outer product, which tiles do not speed up). The
+# weight gradient runs the same tiles and sums each tap's (cin x n) @ (n x cout)
+# products over them, which changes its summation order. On that OpenBLAS most
+# of the gain comes from the tile GEMMs being small enough (M * N * K <= 10**6)
+# for its unpacked small-matrix kernels, so retune TILE_BYTES against the
+# benchmark, not against the cache size alone.
 
 TILE_BYTES = 1 << 20
 TILE_ALIGN = 64
@@ -194,72 +199,73 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a * b if a.shape[1] == 1 else a @ b
 
 
-def _correlate(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
-    """Valid strided correlation: (cin, b, H, W) with (cout, cin, kh, kw) -> (cout, b, ho, wo)."""
-    cin, bs, hp, wp = xp.shape
-    cout, _, kh, kw = w.shape
+def _gather(a: np.ndarray, kh: int, kw: int, stride: int,
+            w: np.ndarray | None = None, g: np.ndarray | None = None) -> tuple:
+    """One pass over the taps of a padded (c, b, H, W) array: (correlation,
+    weight gradient) of its valid strided correlation, each None unless asked.
+
+    With ``w`` (n, c, kh, kw) the correlation is (n, b, ho, wo); with ``g``, an
+    (n, b, ho, wo) gradient of that output, the weight gradient is (n, c, kh, kw).
+    """
+    c, bs, hp, wp = a.shape
+    n = (w if w is not None else g).shape[0]
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
+    dtype = np.result_type(a, *(v for v in (w, g) if v is not None))
     if stride > 1:
-        out = 0
-        for i, j, tap in _taps(xp, kh, kw, stride):
-            out += _matmul(w[:, :, i, j], tap.reshape(cin, -1))
-        return out.reshape(cout, bs, ho, wo)
-    span = _span(xp, kh, kw)
-    # a 1-row product is a GEMV, whose bits depend on the window's width
-    tiles = (_tiles(span, (cin + 2 * cout) * np.result_type(xp, w).itemsize)
-             if cout > 1 else [(0, span)])
+        dw = np.empty((n, c, kh, kw), dtype=dtype) if g is not None else None
+        acc = 0
+        for i, j, tap in _taps(a, kh, kw, stride):
+            tap = tap.reshape(c, -1)
+            if w is not None:
+                acc += _matmul(w[:, :, i, j], tap)
+            if g is not None:
+                dw[:, :, i, j] = g.reshape(n, -1) @ tap.T
+        return (acc.reshape(n, bs, ho, wo) if w is not None else None), dw
+    span = _span(a, kh, kw)
+    # a 1-row product is a GEMV, whose bits depend on the window's width, and
+    # a 1-column one is an outer product, which tiles do not speed up
+    whole = w is not None and 1 in w.shape[:2]
+    tiles = [(0, span)] if whole else _tiles(span, (c + 2 * n) * dtype.itemsize)
+    if g is not None:
+        # g on a's flat grid, so window column p of every tap meets output p
+        gm = np.zeros((n, bs, hp, wp), dtype=g.dtype)
+        gm[:, :, :ho, :wo] = g
+        gm = gm.reshape(n, -1)
+        dwt = np.zeros((kh, kw, c, n), dtype=dtype)
     grid = None
     for s, e in tiles:
-        out = 0
-        for i, j, tap in _taps(xp, kh, kw, 1, (s, e)):
-            out += _matmul(w[:, :, i, j], tap)
-        if grid is None:
-            # allocated after the first tile's taps, so their temporaries are
-            # never live beside it in a one-tile layer
-            grid = np.empty((cout, bs * hp * wp), dtype=out.dtype)
-        grid[:, s:e] = out
-    return grid.reshape(cout, bs, hp, wp)[:, :, :ho, :wo]
+        acc = 0
+        for i, j, tap in _taps(a, kh, kw, 1, (s, e)):
+            if w is not None:
+                acc += _matmul(w[:, :, i, j], tap)
+            if g is not None:
+                dwt[i, j] += tap @ gm[:, s:e].T
+        if w is not None:
+            if grid is None:
+                # allocated after the first tile's taps, so their temporaries
+                # are never live beside it in a one-tile layer
+                grid = np.empty((n, bs * hp * wp), dtype=acc.dtype)
+            grid[:, s:e] = acc
+    return (grid.reshape(n, bs, hp, wp)[:, :, :ho, :wo] if w is not None else None,
+            dwt.transpose(3, 2, 0, 1) if g is not None else None)
 
 
 def _correlate_adjoint(g: np.ndarray, w: np.ndarray, stride: int,
                        hp: int, wp: int) -> np.ndarray:
-    """Adjoint of ``_correlate`` in its input: (cout, b, ho, wo) -> (cin, b, hp, wp)."""
+    """Adjoint of ``_gather``'s correlation in its input: (cout, b, ho, wo) -> (cin, b, hp, wp)."""
     cout, bs, ho, wo = g.shape
     _, cin, kh, kw = w.shape
     if stride == 1:
         # the full correlation of g with the flipped kernel
         gp = np.zeros((cout, bs, hp + kh - 1, wp + kw - 1), dtype=g.dtype)
         gp[:, :, kh - 1:kh - 1 + ho, kw - 1:kw - 1 + wo] = g
-        return _correlate(gp, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1)
+        return _gather(gp, kh, kw, 1, w=w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))[0]
     gm = g.reshape(cout, -1)
     out = np.zeros((cin, bs, hp, wp), dtype=np.result_type(g, w))
     for i, j, tap in _taps(out, kh, kw, stride):
         tap += _matmul(w[:, :, i, j].T, gm).reshape(tap.shape)
     return out
-
-
-def _correlate_wgrad(g: np.ndarray, xp: np.ndarray, kh: int, kw: int,
-                     stride: int) -> np.ndarray:
-    """Gradient of ``_correlate`` in its weight: (cout, cin, kh, kw)."""
-    cout, bs, ho, wo = g.shape
-    cin, _, hp, wp = xp.shape
-    if stride > 1:
-        gm = g.reshape(cout, -1)
-        dw = np.empty((cout, cin, kh, kw), dtype=np.result_type(g, xp))
-        for i, j, tap in _taps(xp, kh, kw, stride):
-            dw[:, :, i, j] = gm @ tap.reshape(cin, -1).T
-        return dw
-    # g on the input's flat grid, so window column p of every tap meets output p
-    grid = np.zeros((cout, bs, hp, wp), dtype=g.dtype)
-    grid[:, :, :ho, :wo] = g
-    gm = grid.reshape(cout, -1)
-    dwt = np.zeros((kh, kw, cin, cout), dtype=np.result_type(g, xp))
-    for s, e in _tiles(_span(xp, kh, kw), (cin + 2 * cout) * dwt.itemsize):
-        gt = gm[:, s:e].T
-        for i, j, tap in _taps(xp, kh, kw, 1, (s, e)):
-            dwt[i, j] += tap @ gt
-    return dwt.transpose(3, 2, 0, 1)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
@@ -277,12 +283,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Te
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"kernel {kh}x{kw} too large for input {h}x{wd} with pad {pad}")
     xp = _channel_major(x.data, pad)
-    out = _batch_major(_correlate(xp, w.data, stride), b.data)
+    out = _batch_major(_gather(xp, kh, kw, stride, w=w.data)[0], b.data)
 
     def backward(g):
         db = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
         gc = _channel_major(g)
-        dw = _correlate_wgrad(gc, xp, kh, kw, stride) if w.requires_grad else None
+        dw = _gather(xp, kh, kw, stride, g=gc)[1] if w.requires_grad else None
         dx = None
         if x.requires_grad:
             dxp = _correlate_adjoint(gc, w.data, stride, xp.shape[2], xp.shape[3])
@@ -311,28 +317,13 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int 
 
     def backward(g):
         db = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
-        gp = _channel_major(g, pad)
         dx = dw = None
-        if stride == 1:
-            if x.requires_grad:
-                dx = _correlate(gp, w.data, 1)
-            if w.requires_grad:
-                dw = _correlate_wgrad(_channel_major(x.data), gp, kh, kw, 1)
-        else:
-            # dx correlates gp with w, and dw pairs the same taps of gp with x:
-            # copy each strided tap once and feed whichever needs it
-            dxm = 0
-            if w.requires_grad:
-                xm = _channel_major(x.data).reshape(cin, -1)
-                dw = np.empty(w.shape, dtype=np.result_type(xm, gp))
-            for i, j, tap in _taps(gp, kh, kw, stride):
-                tap = tap.reshape(cout, -1)
-                if x.requires_grad:
-                    dxm += _matmul(w.data[:, :, i, j], tap)
-                if w.requires_grad:
-                    dw[:, :, i, j] = xm @ tap.T
-            if x.requires_grad:
-                dx = dxm.reshape(cin, bs, h, wd)
+        if x.requires_grad or w.requires_grad:
+            # dx correlates the padded gradient with w, and dw pairs the same
+            # taps with x
+            dx, dw = _gather(_channel_major(g, pad), kh, kw, stride,
+                             w=w.data if x.requires_grad else None,
+                             g=_channel_major(x.data) if w.requires_grad else None)
         if dx is not None:
             dx = np.ascontiguousarray(dx.transpose(1, 0, 2, 3))
         return dx, dw, db

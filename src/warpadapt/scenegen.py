@@ -288,9 +288,12 @@ def sample_from_bytes(buf: bytes, label: str = "sample") -> SceneSample:
     values = {}
     for i, (name, channels) in enumerate(FIELD_CHANNELS.items()):
         at = r.off
-        values[name] = r.tensor() if bitmap & (1 << i) else None
-        if values[name] is not None and values[name].shape[1] != channels:
-            raise FormatError(f"{label}: {name} at byte {at} has {values[name].shape[1]} "
+        values[name] = v = r.tensor() if bitmap & (1 << i) else None
+        if v is not None and v.shape[0] != 1:
+            raise FormatError(f"{label}: {name} at byte {at} holds {v.shape[0]} frames, "
+                              "expected 1")
+        if v is not None and v.shape[1] != channels:
+            raise FormatError(f"{label}: {name} at byte {at} has {v.shape[1]} "
                               f"channels, expected {channels}")
     r.done()
     return SceneSample(domain=DOMAIN_NAMES[tag], **values)

@@ -586,8 +586,11 @@ def run_training(config: TrainConfig, data_dir: str, out_dir: str,
             it = state.iteration
             syn_idx = _batch_indices(len(syn_train), config.batch_size, config.seed, 1, it)
             real_idx = _batch_indices(len(real_train), config.batch_size, config.seed, 2, it)
-            breakdown = train_step(state, make_batch(syn_train, syn_idx),
-                                   make_batch(real_train, real_idx))
+            # a diverging step stops on its non-finite loss or gradient alone,
+            # without a numpy warning for each overflow on the way
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                breakdown = train_step(state, make_batch(syn_train, syn_idx),
+                                       make_batch(real_train, real_idx))
             log_lines.append(format_log_line(it, breakdown))
             if config.eval_every and state.iteration % config.eval_every == 0 \
                     and state.iteration < config.total_iters:

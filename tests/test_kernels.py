@@ -64,7 +64,7 @@ def conv_transpose2d_bruteforce(x, w, b, stride, pad):
 def correlate_whole_window(xp, w):
     """Stride-1 valid correlation of a padded channel-major (cin, b, H, W)
     array: one GEMM per tap over the whole flat window, summed in tap order.
-    This is the untiled reference for ``K._correlate``."""
+    This is the untiled reference for ``K._gather``'s correlation."""
     cin, bs, hp, wp = xp.shape
     cout, _, kh, kw = w.shape
     flat = xp.reshape(cin, -1)
@@ -92,6 +92,37 @@ def wgrad_whole_window(gc, xp, kh, kw):
     for i in range(kh):
         for j in range(kw):
             dw[:, :, i, j] = gm[:, :span] @ flat[:, i * wp + j:i * wp + j + span].T
+    return dw
+
+
+def strided_taps(ap, kh, kw, stride):
+    """(i, j, tap) per kernel tap of a padded channel-major (c, b, H, W) array,
+    each tap a (c, b * ho * wo) copy of its strided slice."""
+    c, _, hp, wp = ap.shape
+    ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    for i in range(kh):
+        for j in range(kw):
+            tap = ap[:, :, i:i + stride * (ho - 1) + 1:stride, j:j + stride * (wo - 1) + 1:stride]
+            yield i, j, tap.reshape(c, -1)
+
+
+def correlate_strided(ap, w, stride):
+    """Valid strided correlation: one product per tap, summed in tap order."""
+    _, bs, hp, wp = ap.shape
+    n, _, kh, kw = w.shape
+    out = 0
+    for i, j, tap in strided_taps(ap, kh, kw, stride):
+        out += K._matmul(w[:, :, i, j], tap)
+    return out.reshape(n, bs, (hp - kh) // stride + 1, (wp - kw) // stride + 1)
+
+
+def wgrad_strided(gc, ap, kh, kw, stride):
+    """Weight gradient of ``correlate_strided`` for an (n, b, ho, wo) output
+    gradient: one (n x m) @ (m x c) product per tap."""
+    gm = gc.reshape(gc.shape[0], -1)
+    dw = np.empty((gc.shape[0], ap.shape[0], kh, kw), dtype=gc.dtype)
+    for i, j, tap in strided_taps(ap, kh, kw, stride):
+        dw[:, :, i, j] = gm @ tap.T
     return dw
 
 
@@ -373,7 +404,7 @@ class TestConv:
 
 
 def tile_count(a, cout, kh=3, kw=3):
-    """Column tiles ``K._correlate`` runs over the padded input ``a`` for ``cout`` outputs."""
+    """Column tiles ``K._gather`` runs over the padded input ``a`` for ``cout`` outputs."""
     return len(K._tiles(K._span(a, kh, kw), (a.shape[0] + 2 * cout) * a.itemsize))
 
 
@@ -459,6 +490,32 @@ class TestTiledConv:
         y = K.conv2d(x, w, b)
         assert np.array_equal(y.data, correlate_whole_window(xp, w.data).transpose(1, 0, 2, 3))
 
+    def test_one_input_channel_adjoint_keeps_one_window(self, dtype, monkeypatch):
+        # the pf head's input adjoint: its taps are outer products, which tiles
+        # do not speed up, so it runs the reference's very products on one
+        # window, and the bits hold on any BLAS
+        rng, x, w, b = self.layer(dtype, shape=(2, 8, 64, 128), cout=1)
+        y = K.conv2d(x, Tensor(w.data), b)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        gp = K._channel_major(g, 2)
+        assert tile_count(gp, 8) > 1
+        monkeypatch.setattr(K, "_tiles", lambda *args: pytest.fail("the layer ran in tiles"))
+        dx, _, _ = y._backward(g)
+        w_adj = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        want = correlate_whole_window(gp, w_adj)[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)
+        assert np.array_equal(dx, want)
+
+    def test_one_pass_matches_two_passes(self, dtype):
+        # the stride-1 transposed-conv backward asks for both outputs at once;
+        # each is the products of its own pass, so the bits hold on any BLAS
+        rng, x, w, _ = self.layer(dtype)
+        a = K._channel_major(x.data, 1)
+        g = rng.standard_normal((8, 2, 64, 128)).astype(dtype)
+        assert tile_count(a, 8) > 1
+        out, dw = K._gather(a, 3, 3, 1, w=w.data, g=g)
+        assert np.array_equal(out, K._gather(a, 3, 3, 1, w=w.data)[0])
+        assert np.array_equal(dw, K._gather(a, 3, 3, 1, g=g)[1])
+
     def test_weight_gradient_matches_whole_window(self, dtype):
         # tiles split each tap's sum over columns, so dw changes summation order
         rng, x, w, b = self.layer(dtype)
@@ -484,8 +541,8 @@ class TestTiledConv:
     @pytest.mark.parametrize("needs", ["both", "x", "w"])
     def test_stride2_transposed_backward_matches_two_passes(self, dtype, needs):
         # the decoder's uf layer: dx correlates the padded gradient with w, and
-        # dw pairs the same taps with x; one pass over the taps feeds both,
-        # with the same products, so the bits hold on any BLAS
+        # dw pairs the same taps with x; one pass over the taps feeds both
+        # with the products of two separate passes, so the bits hold on any BLAS
         rng = np.random.default_rng(3)
         x = Tensor(rng.standard_normal((2, 8, 32, 64)).astype(dtype),
                    requires_grad=needs in ("both", "x"))
@@ -497,11 +554,11 @@ class TestTiledConv:
         dx, dw, _ = y._backward(g)
         gp = K._channel_major(g, 1)
         if x.requires_grad:
-            assert np.array_equal(dx, K._correlate(gp, w.data, 2).transpose(1, 0, 2, 3))
+            assert np.array_equal(dx, correlate_strided(gp, w.data, 2).transpose(1, 0, 2, 3))
         else:
             assert dx is None
         if w.requires_grad:
-            assert np.array_equal(dw, K._correlate_wgrad(K._channel_major(x.data), gp, 4, 4, 2))
+            assert np.array_equal(dw, wgrad_strided(K._channel_major(x.data), gp, 4, 4, 2))
         else:
             assert dw is None
 
@@ -522,13 +579,13 @@ class TestTileBlocks:
         tiles = K._tiles(K._span(xp, 3, 3), (18 + 2 * 8) * xp.itemsize)
         assert len(tiles) > 1
         assert all((e - s) % K.TILE_ALIGN == 0 for s, e in tiles[:-1])
-        assert_close(K._correlate(xp, w, 1), correlate_whole_window(xp, w))
+        assert_close(K._gather(xp, 3, 3, 1, w=w)[0], correlate_whole_window(xp, w))
 
     @on_measured_blas
     def test_whole_blocks_keep_bits(self):
         # a tile ending mid-block there changes bits where it ends
         xp, w = self.layer()
-        assert np.array_equal(K._correlate(xp, w, 1), correlate_whole_window(xp, w))
+        assert np.array_equal(K._gather(xp, 3, 3, 1, w=w)[0], correlate_whole_window(xp, w))
 
 
 class TestResize:

@@ -282,6 +282,15 @@ class TestDatasetFormat:
                                               f"channels, expected {expected}"):
             sample_from_bytes(buf, label="s.wad")
 
+    @pytest.mark.parametrize("field, frames", [("left", 2), ("flow", 2), ("occlusion", 0)])
+    def test_frame_count_other_than_one_refused(self, field, frames):
+        s = generate_scene(seed=5, width=32, height=16)
+        bad = np.repeat(getattr(s, field), frames, axis=0)
+        buf = sample_to_bytes(SceneSample(**{**vars(s), field: bad}))
+        with pytest.raises(FormatError, match=f"s.wad: {field} at byte \\d+ holds {frames} "
+                                              "frames, expected 1"):
+            sample_from_bytes(buf, label="s.wad")
+
     @pytest.mark.parametrize("case, match", [
         ("left_only", "sample_00001.wad: a dataset sample needs left, right and next_left"),
         ("mixed_extent", "sample_00001.wad: a field's extent is not the first sample's 64x32"),
