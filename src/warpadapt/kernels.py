@@ -4,14 +4,16 @@ Each kernel pairs a forward rule with a matched backward rule; composites
 (SSIM, cosine map) are assembled from primitives and differentiate through
 the graph. conv2d and conv_transpose2d share one core of one GEMM per kernel
 tap: a gather, which correlates a padded input with a kernel and, on the same
-taps, forms the weight gradient, and its adjoint, a scatter. conv2d's forward
-pass and weight gradient and conv_transpose2d's whole backward pass are
-gathers; conv2d's input gradient and conv_transpose2d's forward pass are the
-scatter, which at stride 1 is the gather with the flipped kernel. At stride 1
-every tap reads a unit-stride window of the padded input viewed as one flat
-matrix, so no tap copies its input, and a layer whose working set passes
-TILE_BYTES runs in column tiles, every tap on one tile before the next; each
-output sums the same per-tap products in the same order as without tiles.
+taps, forms the weight gradient. conv2d's forward pass and weight gradient are
+gathers at its stride; every other pass is a stride-1 gather. The adjoint of a
+stride-s correlation (conv2d's input gradient, conv_transpose2d's forward
+pass) computes its s x s output phases, each a correlation with a sub-kernel
+of the flipped taps, in one gather, and conv_transpose2d's backward pass
+gathers over its gradient's s x s phases (space to depth). At stride 1 every
+tap reads a unit-stride window of the padded input viewed as one flat matrix,
+so no tap copies its input, and a layer whose working set passes TILE_BYTES
+runs in column tiles, every tap on one tile before the next; each output sums
+the same per-tap products in the same order as without tiles.
 A tap that sums over a single channel is a broadcast outer product, not a
 GEMM. The Gaussian blur under SSIM is a product with a cached banded matrix
 per axis.
@@ -108,16 +110,29 @@ def smooth_l1(a: Tensor, b: Tensor) -> Tensor:
 
 # -- convolutions -------------------------------------------------------------
 #
-# The gather and the scatter work on contiguous, zero-padded, channel-major
-# (c, b, H, W) arrays and do one GEMM per kernel tap, summed in a contiguous
-# accumulator; a gather asked for both outputs copies each strided tap once.
-# At stride 1 the array is read as one flat (c, b * H * W) matrix: tap (i, j)
-# is the window at offset i * W + j, a unit-stride view that BLAS reads without
-# a copy. The sum then lands on the input's (H, W) grid, valid in its top-left
-# ho x wo block, and is cropped once; a window crossing a row or sample
-# boundary only feeds positions outside that block. The stride-1 adjoint is the
-# full correlation with the flipped kernel. At stride 2 each tap is a strided
-# slice, which its reshape copies.
+# The gather works on contiguous, zero-padded, channel-major (c, b, H, W)
+# arrays and does one GEMM per kernel tap, summed in a contiguous accumulator;
+# a gather asked for both outputs reads each tap once. At stride 1 the array is
+# read as one flat (c, b * H * W) matrix: tap (i, j) is the window at offset
+# i * W + j, a unit-stride view that BLAS reads without a copy. The sum then
+# lands on the input's (H, W) grid, valid in its top-left ho x wo block, and is
+# cropped once; a window crossing a row or sample boundary only feeds positions
+# outside that block. At stride 2 (conv2d's forward pass and weight gradient
+# alone) each tap is a strided slice, which its reshape copies.
+#
+# The adjoint of a stride-s correlation with a kh x kw kernel zero-pads the
+# kernel to multiples of s and splits it into s * s flipped sub-kernels of
+# ceil(kh / s) x ceil(kw / s) taps: padded output row s q + r is row q of phase
+# r, a full correlation of the input with the taps s m + r. One stride-1 gather
+# computes all phases as s * s * cout channels over the input with
+# ceil(k / s) - 1 zero rows and columns before it and as many after it as the
+# crop keeps; each phase is written with the bias straight into its [r::s]
+# slots of the cropped, batch-major result. A row that no tap reaches (odd
+# extents at pad 0) reads only zeros. conv_transpose2d's backward runs the
+# other way: tap (s m + r, s m' + r') of the padded gradient is phase (r, r')
+# at (m, m'), so dx and dw are one stride-1 gather over the s * s phases, each
+# copied once out of the gradient, with the kernel regrouped the same way. At
+# stride 1 there is one phase.
 #
 # At stride 1 the output columns are split into equal tiles whose input rows,
 # accumulator and product temporary, (cin + 2 cout) values per column, fit
@@ -251,21 +266,64 @@ def _gather(a: np.ndarray, kh: int, kw: int, stride: int,
             dwt.transpose(3, 2, 0, 1) if g is not None else None)
 
 
-def _correlate_adjoint(g: np.ndarray, w: np.ndarray, stride: int,
-                       hp: int, wp: int) -> np.ndarray:
-    """Adjoint of ``_gather``'s correlation in its input: (cout, b, ho, wo) -> (cin, b, hp, wp)."""
-    cout, bs, ho, wo = g.shape
-    _, cin, kh, kw = w.shape
-    if stride == 1:
-        # the full correlation of g with the flipped kernel
-        gp = np.zeros((cout, bs, hp + kh - 1, wp + kw - 1), dtype=g.dtype)
-        gp[:, :, kh - 1:kh - 1 + ho, kw - 1:kw - 1 + wo] = g
-        return _gather(gp, kh, kw, 1, w=w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))[0]
-    gm = g.reshape(cout, -1)
-    out = np.zeros((cin, bs, hp, wp), dtype=np.result_type(g, w))
-    for i, j, tap in _taps(out, kh, kw, stride):
-        tap += _matmul(w[:, :, i, j].T, gm).reshape(tap.shape)
+def _phase_kernel(w: np.ndarray, s: int) -> np.ndarray:
+    """(n, c, kh, kw) -> (n, c, kh', s, kw', s), zero-padded to (s kh', s kw'),
+    kh' = ceil(kh / s): element [..., m, r, m', r'] is tap (s m + r, s m' + r')."""
+    n, c, kh, kw = w.shape
+    kh2, kw2 = -(-kh // s), -(-kw // s)
+    wp = np.zeros((n, c, kh2 * s, kw2 * s), dtype=w.dtype)
+    wp[:, :, :kh, :kw] = w
+    return wp.reshape(n, c, kh2, s, kw2, s)
+
+
+def _correlate_adjoint(a: np.ndarray, w: np.ndarray, stride: int, pad: int,
+                       ho: int, wo: int, bias: np.ndarray | None = None) -> np.ndarray:
+    """Adjoint of the stride-s correlation with w (n, c, kh, kw), cropped by
+    ``pad`` per side: batch-major (b, n, h, w) -> (b, c, ho, wo), plus a
+    (1, c, 1, 1) ``bias`` if given.
+
+    All s * s output phases are one ``_gather`` with s * s * c outputs, each
+    written into its strided slots of the result.
+    """
+    bs, n, h, wd = a.shape
+    s = stride
+    wk = _phase_kernel(w, s)
+    c, kh2, kw2 = w.shape[1], wk.shape[2], wk.shape[4]
+    # phase rows [0, hq) hold every output row after the crop; a row that no
+    # tap reaches reads the zero border
+    hq, wq = -(-(pad + ho) // s), -(-(pad + wo) // s)
+    ap = np.zeros((n, bs, kh2 - 1 + hq, kw2 - 1 + wq), dtype=a.dtype)
+    ap[:, :, kh2 - 1:, kw2 - 1:][:, :, :h, :wd] = a[:, :, :hq, :wq].transpose(1, 0, 2, 3)
+    wf = wk[:, :, ::-1, :, ::-1].transpose(3, 5, 1, 0, 2, 4).reshape(s * s * c, n, kh2, kw2)
+    phases = _gather(ap, kh2, kw2, 1, w=wf)[0].reshape(s, s, c, bs, hq, wq)
+    del ap  # before the result is allocated
+    out = np.empty((bs, c, ho, wo), dtype=phases.dtype)
+    for rh in range(s):
+        for rw in range(s):
+            (qh, ph), (qw, pw) = divmod(rh + pad, s), divmod(rw + pad, s)
+            dst = out[:, :, rh::s, rw::s]
+            src = phases[ph, pw, :, :, qh:qh + dst.shape[2], qw:qw + dst.shape[3]]
+            src = src.transpose(1, 0, 2, 3)
+            if bias is None:
+                dst[...] = src
+            else:
+                np.add(src, bias, out=dst)
     return out
+
+
+def _space_to_depth(g: np.ndarray, s: int, pad: int, hq: int, wq: int) -> np.ndarray:
+    """Batch-major (b, c, H, W) -> (s * s * c, b, hq, wq): channel block (r, r')
+    holds phase (r, r') of g padded by ``pad``, element [q, q'] its padded
+    element [s q + r, s q' + r'], zero past its edges."""
+    bs, c = g.shape[:2]
+    out = np.zeros((s, s, c, bs, hq, wq), dtype=g.dtype)
+    for r in range(s):
+        for r2 in range(s):
+            # first phase row and column inside g, and the g row and column they hold
+            q0, q1 = -((r - pad) // s), -((r2 - pad) // s)
+            src = g[:, :, s * q0 + r - pad::s, s * q1 + r2 - pad::s][:, :, :hq - q0, :wq - q1]
+            out[r, r2, :, :, q0:q0 + src.shape[2], q1:q1 + src.shape[3]] = src.transpose(1, 0, 2, 3)
+    return out.reshape(s * s * c, bs, hq, wq)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
@@ -282,17 +340,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Te
     wo = (wd + 2 * pad - kw) // stride + 1
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"kernel {kh}x{kw} too large for input {h}x{wd} with pad {pad}")
-    xp = _channel_major(x.data, pad)
-    out = _batch_major(_gather(xp, kh, kw, stride, w=w.data)[0], b.data)
+    out = _batch_major(_gather(_channel_major(x.data, pad), kh, kw, stride, w=w.data)[0], b.data)
 
     def backward(g):
         db = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
-        gc = _channel_major(g)
-        dw = _gather(xp, kh, kw, stride, g=gc)[1] if w.requires_grad else None
-        dx = None
-        if x.requires_grad:
-            dxp = _correlate_adjoint(gc, w.data, stride, xp.shape[2], xp.shape[3])
-            dx = np.ascontiguousarray(dxp[:, :, pad:pad + h, pad:pad + wd].transpose(1, 0, 2, 3))
+        # the padded input is rebuilt here rather than held on the tape
+        dw = (_gather(_channel_major(x.data, pad), kh, kw, stride, g=_channel_major(g))[1]
+              if w.requires_grad else None)
+        dx = _correlate_adjoint(g, w.data, stride, pad, h, wd) if x.requires_grad else None
         return dx, dw, db
 
     return result(out, (x, w, b), backward)
@@ -312,20 +367,26 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int 
         raise ShapeError("degenerate transposed-conv output")
     # read as a conv2d weight, w maps cout channels to cin: the forward pass is
     # the adjoint of that stride-s convolution, cropped by the padding
-    yp = _correlate_adjoint(_channel_major(x.data), w.data, stride, ho + 2 * pad, wo + 2 * pad)
-    out = _batch_major(yp[:, :, pad:pad + ho, pad:pad + wo], b.data)
+    out = _correlate_adjoint(x.data, w.data, stride, pad, ho, wo, b.data)
 
     def backward(g):
         db = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
         dx = dw = None
         if x.requires_grad or w.requires_grad:
-            # dx correlates the padded gradient with w, and dw pairs the same
-            # taps with x
-            dx, dw = _gather(_channel_major(g, pad), kh, kw, stride,
-                             w=w.data if x.requires_grad else None,
-                             g=_channel_major(x.data) if w.requires_grad else None)
+            # dx is the stride-s correlation of the padded g with w, so it is
+            # one stride-1 gather over g's phases, and dw pairs its taps with x
+            s = stride
+            wk = _phase_kernel(w.data, s)
+            kh2, kw2 = wk.shape[2], wk.shape[4]
+            dx, dw = _gather(_space_to_depth(g, s, pad, h + kh2 - 1, wd + kw2 - 1), kh2, kw2, 1,
+                             w=(wk.transpose(0, 3, 5, 1, 2, 4).reshape(cin, -1, kh2, kw2)
+                                if x.requires_grad else None),
+                             g=x.data.transpose(1, 0, 2, 3) if w.requires_grad else None)
         if dx is not None:
             dx = np.ascontiguousarray(dx.transpose(1, 0, 2, 3))
+        if dw is not None:
+            dw = dw.reshape(cin, s, s, cout, kh2, kw2).transpose(0, 3, 4, 1, 5, 2)
+            dw = np.ascontiguousarray(dw.reshape(cin, cout, kh2 * s, kw2 * s)[:, :, :kh, :kw])
         return dx, dw, db
 
     return result(out, (x, w, b), backward)

@@ -192,10 +192,18 @@ def _shows_layer(ids, qx, qy, layer):
                    for dy in (0, 1) for dx in (0, 1)], axis=0)
 
 
+# the networks halve an extent twice and their transposed convs double it back
+EXTENT_RULE = "extents must be >= 8 and divisible by 4"
+
+
+def _extent_ok(width: int, height: int) -> bool:
+    return min(width, height) >= 8 and not width % 4 and not height % 4
+
+
 def check_scene_params(width: int, height: int, max_disp: int, max_flow: int) -> None:
     """Raise ConfigError unless scenes of these extents and ranges can be made."""
-    if width < 8 or height < 8 or width % 4 or height % 4:
-        raise ConfigError(f"extents must be >= 8 and divisible by 4, got {width}x{height}")
+    if not _extent_ok(width, height):
+        raise ConfigError(f"{EXTENT_RULE}, got {width}x{height}")
     # below these, the per-layer disparity and flow ranges in _sample_layers can be empty
     if max_disp < 2 or max_flow < 1:
         raise ConfigError(f"need max_disp >= 2 and max_flow >= 1, "
@@ -295,6 +303,9 @@ def sample_from_bytes(buf: bytes, label: str = "sample") -> SceneSample:
         if v is not None and v.shape[1] != channels:
             raise FormatError(f"{label}: {name} at byte {at} has {v.shape[1]} "
                               f"channels, expected {channels}")
+        if v is not None and not _extent_ok(v.shape[3], v.shape[2]):
+            raise FormatError(f"{label}: {name} at byte {at} is {v.shape[3]}x{v.shape[2]}, "
+                              f"but {EXTENT_RULE}")
     r.done()
     return SceneSample(domain=DOMAIN_NAMES[tag], **values)
 

@@ -372,6 +372,48 @@ class TestDataErrors:
         assert "Traceback" not in err
 
 
+def cropped(scene, height, width):
+    """``scene`` with every field cropped to ``height`` x ``width``."""
+    return SceneSample(**{k: v[:, :, :height, :width] if isinstance(v, np.ndarray) else v
+                          for k, v in vars(scene).items()})
+
+
+class TestExtentRule:
+    """A sample whose extent the networks' stride-2 encoders and transposed
+    decoders cannot round-trip is refused as it is read, naming the sample."""
+
+    @pytest.mark.parametrize("command", ["translate", "eval", "train"])
+    @pytest.mark.parametrize("height,width", [(16, 30), (15, 32), (16, 34)])
+    def test_exits_3_naming_sample_and_rule(self, small_run, tmp_path, capsys, command,
+                                            height, width):
+        scene = cropped(generate_scene(52, width=36, height=20, max_disp=8, max_flow=4),
+                        height, width)
+        data = str(tmp_path / "data")
+        shutil.copytree(small_run["data"], data)
+        with open(os.path.join(data, "odd.wad"), "wb") as fh:
+            fh.write(sample_to_bytes(scene))
+        manifest = os.path.join(data, "manifest.txt")
+        with open(manifest) as fh:
+            names = fh.read()
+        with open(manifest, "w") as fh:
+            fh.write("odd.wad\n" + names)
+        out = str(tmp_path / "o")
+        argv = {"translate": ["translate", "--checkpoint", small_run["checkpoint"],
+                              "--in", os.path.join(data, "odd.wad"), "--out", out],
+                "eval": ["eval", "--checkpoint", small_run["checkpoint"], "--data", data],
+                "train": ["train", "--data", data, "--out", out, "--total_iters", "1",
+                          "--k", "1", "--batch_size", "1", "--channels_base", "4",
+                          "--max_disp", "8", "--max_flow", "4", "--val_count", "1",
+                          "--eval_every", "0"]}[command]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: odd.wad: left ")
+        assert f" is {width}x{height}, but extents must be >= 8 and divisible by 4" in err
+        assert not os.path.exists(out)
+
+
 class TestTranslate:
     def test_cycle_writes_triple(self, small_run, tmp_path, capsys):
         from warpadapt.scenegen import read_dataset, split_domains

@@ -22,22 +22,19 @@ def rand(shape, seed=0, lo=-2.0, hi=2.0, dtype=np.float64):
 # -- independent oracles -------------------------------------------------------
 
 def conv2d_bruteforce(x, w, b, stride, pad):
+    """Each output pixel sums, per kernel tap, the padded input pixel under it
+    times that tap's (cout, cin) weights, over the batch and channels at once."""
     bs, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
     ho = (h + 2 * pad - kh) // stride + 1
     wo = (wd + 2 * pad - kw) // stride + 1
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out = np.zeros((bs, cout, ho, wo))
-    for n in range(bs):
-        for o in range(cout):
-            for y in range(ho):
-                for z in range(wo):
-                    acc = b[0, o, 0, 0]
-                    for c in range(cin):
-                        for i in range(kh):
-                            for j in range(kw):
-                                acc += w[o, c, i, j] * xp[n, c, y * stride + i, z * stride + j]
-                    out[n, o, y, z] = acc
+    out = np.zeros((bs, cout, ho, wo)) + b
+    for y in range(ho):
+        for z in range(wo):
+            for i in range(kh):
+                for j in range(kw):
+                    out[:, :, y, z] += xp[:, :, y * stride + i, z * stride + j] @ w[:, :, i, j].T
     return out
 
 
@@ -48,17 +45,24 @@ def conv_transpose2d_bruteforce(x, w, b, stride, pad):
     ho = (h - 1) * stride - 2 * pad + kh
     wo = (wd - 1) * stride - 2 * pad + kw
     out = np.zeros((bs, cout, ho, wo)) + b
-    for n in range(bs):
-        for c in range(cin):
-            for y in range(h):
-                for z in range(wd):
-                    for o in range(cout):
-                        for i in range(kh):
-                            for j in range(kw):
-                                oy, oz = y * stride + i - pad, z * stride + j - pad
-                                if 0 <= oy < ho and 0 <= oz < wo:
-                                    out[n, o, oy, oz] += x[n, c, y, z] * w[c, o, i, j]
+    for y in range(h):
+        for z in range(wd):
+            for i in range(kh):
+                for j in range(kw):
+                    oy, oz = y * stride + i - pad, z * stride + j - pad
+                    if 0 <= oy < ho and 0 <= oz < wo:
+                        out[:, :, oy, oz] += x[:, :, y, z] @ w[:, :, i, j]
     return out
+
+
+def conv2d_input_grad_bruteforce(g, w, stride, pad, h, wd):
+    """conv2d's input gradient for an output gradient ``g``: the uncropped
+    transposed conv of g with the same weight, on the padded input's grid and
+    then cropped. An input row or column that no tap reads stays zero."""
+    full = conv_transpose2d_bruteforce(g, w, 0.0, stride, 0)
+    dxp = np.zeros(g.shape[:1] + w.shape[1:2] + (h + 2 * pad, wd + 2 * pad))
+    dxp[:, :, :full.shape[2], :full.shape[3]] = full
+    return dxp[:, :, pad:pad + h, pad:pad + wd]
 
 
 def correlate_whole_window(xp, w):
@@ -540,9 +544,10 @@ class TestTiledConv:
 
     @pytest.mark.parametrize("needs", ["both", "x", "w"])
     def test_stride2_transposed_backward_matches_two_passes(self, dtype, needs):
-        # the decoder's uf layer: dx correlates the padded gradient with w, and
-        # dw pairs the same taps with x; one pass over the taps feeds both
-        # with the products of two separate passes, so the bits hold on any BLAS
+        # the decoder's uf layer: dx is the strided correlation of the padded
+        # gradient with w, and dw pairs the same taps with x; the phase pass
+        # sums each output's products in another order than these two strided
+        # references, so it matches them to rounding
         rng = np.random.default_rng(3)
         x = Tensor(rng.standard_normal((2, 8, 32, 64)).astype(dtype),
                    requires_grad=needs in ("both", "x"))
@@ -554,13 +559,92 @@ class TestTiledConv:
         dx, dw, _ = y._backward(g)
         gp = K._channel_major(g, 1)
         if x.requires_grad:
-            assert np.array_equal(dx, correlate_strided(gp, w.data, 2).transpose(1, 0, 2, 3))
+            assert_close(dx, correlate_strided(gp, w.data, 2).transpose(1, 0, 2, 3))
         else:
             assert dx is None
         if w.requires_grad:
-            assert np.array_equal(dw, wgrad_strided(K._channel_major(x.data), gp, 4, 4, 2))
+            assert_close(dw, wgrad_strided(K._channel_major(x.data), gp, 4, 4, 2))
         else:
             assert dw is None
+
+    def test_stride2_transposed_backward_is_one_phase_gather(self, dtype):
+        # the same layer: tap (2m + r, 2m' + r) of the padded gradient is its
+        # phase (r, r') at (m, m'), so dx and dw are one stride-1 gather over
+        # the four phases with the 4x4 kernel regrouped to 2x2, bit for bit
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((2, 8, 32, 64)).astype(dtype), requires_grad=True)
+        w = Tensor(rng.standard_normal((8, 8, 4, 4)).astype(dtype), requires_grad=True)
+        y = K.conv_transpose2d(x, w, Tensor(np.zeros((1, 8, 1, 1), dtype=dtype)), stride=2, pad=1)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        dx, dw, _ = y._backward(g)
+        gp = np.pad(g, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        rr = [(r, r2) for r in (0, 1) for r2 in (0, 1)]
+        phases = np.concatenate([gp[:, :, r::2, r2::2] for r, r2 in rr], axis=1)
+        w2 = np.concatenate([w.data[:, :, r::2, r2::2] for r, r2 in rr], axis=1)
+        want_dx, dw2 = K._gather(np.ascontiguousarray(phases.transpose(1, 0, 2, 3)), 2, 2, 1,
+                                 w=np.ascontiguousarray(w2), g=K._channel_major(x.data))
+        want_dw = np.empty_like(w.data)
+        for p, (r, r2) in enumerate(rr):
+            want_dw[:, :, r::2, r2::2] = dw2[:, 8 * p:8 * (p + 1)]
+        assert np.array_equal(dx, want_dx.transpose(1, 0, 2, 3))
+        assert np.array_equal(dw, want_dw)
+
+
+# (batch, cin, h, w, cout) of every transposed conv the networks run: uh and
+# dec1 (16 -> 8 at 16x32), uf (8 -> 8 at 32x64) and dec2 (8 -> 3 at 32x64), at
+# batch 1 (eval), 2 (training) and 6 (the translated eval batch)
+TRANSPOSED_SHAPES = [(bs, *layer) for bs in (1, 2, 6)
+                     for layer in ((16, 16, 32, 8), (8, 32, 64, 8), (8, 32, 64, 3))]
+# (batch, cin, h, w, cout) of every stride-2 conv2d whose input gradient the
+# networks ask for: encoders and discriminators at the default config
+STRIDE2_GRAD_SHAPES = [(2, 3, 64, 128, 8), (4, 3, 64, 128, 8), (2, 8, 32, 64, 16),
+                       (4, 8, 32, 64, 16), (2, 8, 64, 128, 16), (2, 16, 16, 32, 32),
+                       (4, 16, 16, 32, 32), (2, 16, 32, 64, 32), (2, 32, 8, 16, 1),
+                       (4, 32, 8, 16, 1)]
+
+
+class TestStride2Phases:
+    """Stride-2 adjoints run as phase gathers; float64 against the oracles."""
+
+    @pytest.mark.parametrize("bs,cin,h,wd,cout", TRANSPOSED_SHAPES)
+    def test_transposed_at_network_shapes(self, bs, cin, h, wd, cout):
+        rng = np.random.default_rng([bs, cin, h, cout])
+        x = Tensor(rng.standard_normal((bs, cin, h, wd)), requires_grad=True)
+        w = Tensor(rng.standard_normal((cin, cout, 4, 4)) * 0.3, requires_grad=True)
+        b = Tensor(rng.standard_normal((1, cout, 1, 1)))
+        y = K.conv_transpose2d(x, w, b, stride=2, pad=1)
+        assert_close(y.data, conv_transpose2d_bruteforce(x.data, w.data, b.data, 2, 1))
+        g = rng.standard_normal(y.shape)
+        dx, dw, _ = y._backward(g)
+        # dx is conv2d of g with w read as a (cin, cout) weight
+        assert_close(dx, conv2d_bruteforce(g, w.data, np.zeros((1, cin, 1, 1)), 2, 1))
+        assert_close(dw, wgrad_strided(K._channel_major(x.data), K._channel_major(g, 1), 4, 4, 2))
+
+    @pytest.mark.parametrize("bs,cin,h,wd,cout", STRIDE2_GRAD_SHAPES)
+    def test_conv2d_input_gradient_at_network_shapes(self, bs, cin, h, wd, cout):
+        rng = np.random.default_rng([bs, cin, h, cout])
+        x = Tensor(rng.standard_normal((bs, cin, h, wd)), requires_grad=True)
+        w = Tensor(rng.standard_normal((cout, cin, 3, 3)) * 0.3)
+        y = K.conv2d(x, w, Tensor(np.zeros((1, cout, 1, 1))), stride=2, pad=1)
+        g = rng.standard_normal(y.shape)
+        dx, _, _ = y._backward(g)
+        assert_close(dx, conv2d_input_grad_bruteforce(g, w.data, 2, 1, h, wd))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("hw", [(5, 7), (6, 8), (7, 6)])
+    def test_unread_input_rows_get_zero_gradient(self, k, hw):
+        # at pad 0 a stride-2 conv may never read the last input row or
+        # column; its gradient there is exactly zero
+        rng = np.random.default_rng([k, *hw])
+        x = Tensor(rng.standard_normal((2, 3) + hw), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 3, k, k)))
+        y = K.conv2d(x, w, Tensor(np.zeros((1, 4, 1, 1))), stride=2, pad=0)
+        g = rng.standard_normal(y.shape)
+        dx, _, _ = y._backward(g)
+        want = conv2d_input_grad_bruteforce(g, w.data, 2, 0, *hw)
+        assert_close(dx, want)
+        reach_h, reach_w = 2 * (y.shape[2] - 1) + k, 2 * (y.shape[3] - 1) + k
+        assert np.all(dx[:, :, reach_h:] == 0) and np.all(dx[:, :, :, reach_w:] == 0)
 
 
 class TestTileBlocks:
