@@ -3,17 +3,18 @@
 Each kernel pairs a forward rule with a matched backward rule; composites
 (SSIM, cosine map) are assembled from primitives and differentiate through
 the graph. conv2d and conv_transpose2d share one core of one GEMM per kernel
-tap: a gather, which correlates a padded input with a kernel and, on the same
-taps, forms the weight gradient. conv2d's forward pass and weight gradient are
+tap: a gather, which correlates an input with a kernel at stride s and, on the
+same taps, forms the weight gradient. It reads the input's s x s phases (space
+to depth; at stride 1 the padded input itself) as one flat matrix, and every
+tap is a unit-stride window of one phase, so no tap copies its input; a layer
+whose working set passes TILE_BYTES runs in column tiles, every tap on one
+tile before the next, and each output sums the same per-tap products in the
+same order as without tiles. conv2d's forward pass and weight gradient are
 gathers at its stride; every other pass is a stride-1 gather. The adjoint of a
 stride-s correlation (conv2d's input gradient, conv_transpose2d's forward
 pass) computes its s x s output phases, each a correlation with a sub-kernel
 of the flipped taps, in one gather, and conv_transpose2d's backward pass
-gathers over its gradient's s x s phases (space to depth). At stride 1 every
-tap reads a unit-stride window of the padded input viewed as one flat matrix,
-so no tap copies its input, and a layer whose working set passes TILE_BYTES
-runs in column tiles, every tap on one tile before the next; each output sums
-the same per-tap products in the same order as without tiles.
+gathers over its gradient's s x s phases with the kernel's taps regrouped.
 A tap that sums over a single channel is a broadcast outer product, not a
 GEMM. The Gaussian blur under SSIM is a product with a cached banded matrix
 per axis.
@@ -110,15 +111,16 @@ def smooth_l1(a: Tensor, b: Tensor) -> Tensor:
 
 # -- convolutions -------------------------------------------------------------
 #
-# The gather works on contiguous, zero-padded, channel-major (c, b, H, W)
-# arrays and does one GEMM per kernel tap, summed in a contiguous accumulator;
-# a gather asked for both outputs reads each tap once. At stride 1 the array is
-# read as one flat (c, b * H * W) matrix: tap (i, j) is the window at offset
-# i * W + j, a unit-stride view that BLAS reads without a copy. The sum then
-# lands on the input's (H, W) grid, valid in its top-left ho x wo block, and is
-# cropped once; a window crossing a row or sample boundary only feeds positions
-# outside that block. At stride 2 (conv2d's forward pass and weight gradient
-# alone) each tap is a strided slice, which its reshape copies.
+# The gather correlates an input, given as its s * s space-to-depth phases in
+# one contiguous (s * s * c, b, H, W) array, with a kh x kw kernel at stride s,
+# one GEMM per kernel tap summed in a contiguous accumulator; a gather asked
+# for both the correlation and the weight gradient reads each tap once. The
+# phases are read as one flat (s * s * c, b * H * W) matrix: tap (i, j) is the
+# rows of phase (i % s, j % s) in the window at offset (i // s) * W + j // s, a
+# unit-stride view that BLAS reads without a copy. The sum lands on the
+# phases' (H, W) grid, valid in its top-left ho x wo block, and is cropped
+# once; a window crossing a row or sample boundary only feeds positions outside
+# that block. At stride 1 there is one phase, the zero-padded input.
 #
 # The adjoint of a stride-s correlation with a kh x kw kernel zero-pads the
 # kernel to multiples of s and splits it into s * s flipped sub-kernels of
@@ -130,12 +132,12 @@ def smooth_l1(a: Tensor, b: Tensor) -> Tensor:
 # slots of the cropped, batch-major result. A row that no tap reaches (odd
 # extents at pad 0) reads only zeros. conv_transpose2d's backward runs the
 # other way: tap (s m + r, s m' + r') of the padded gradient is phase (r, r')
-# at (m, m'), so dx and dw are one stride-1 gather over the s * s phases, each
-# copied once out of the gradient, with the kernel regrouped the same way. At
-# stride 1 there is one phase.
+# at (m, m'), so dx and dw are one stride-1 gather over the gradient's s * s
+# phases, taken as s * s * cout channels, with the kernel regrouped the same
+# way.
 #
-# At stride 1 the output columns are split into equal tiles whose input rows,
-# accumulator and product temporary, (cin + 2 cout) values per column, fit
+# The output columns are split into equal tiles whose input rows, accumulator
+# and product temporary, (s * s * cin + 2 cout) values per column, fit
 # TILE_BYTES, well under a core's L2; a layer that fits runs as one tile. Each
 # tile runs every tap before the next tile, so the input streams through the
 # cache once rather than once per tap. Every output still sums the same per-tap
@@ -156,14 +158,6 @@ TILE_BYTES = 1 << 20
 TILE_ALIGN = 64
 
 
-def _channel_major(v: np.ndarray, pad: int = 0) -> np.ndarray:
-    """(b, c, h, w) -> contiguous, zero-padded (c, b, h + 2 pad, w + 2 pad)."""
-    bs, c, h, w = v.shape
-    out = np.zeros((c, bs, h + 2 * pad, w + 2 * pad), dtype=v.dtype)
-    out[:, :, pad:pad + h, pad:pad + w] = v.transpose(1, 0, 2, 3)
-    return out
-
-
 def _batch_major(v: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """(c, b, h, w) -> contiguous (b, c, h, w), plus a (1, c, 1, 1) bias."""
     return np.add(v.transpose(1, 0, 2, 3), bias, order="C")
@@ -180,32 +174,19 @@ def _tiles(span: int, col_bytes: int) -> list:
     return [(s, min(s + size, span)) for s in range(0, span, size)]
 
 
-def _taps(a: np.ndarray, kh: int, kw: int, stride: int, cols: tuple | None = None):
-    """Per kernel tap (i, j): the view of a padded (c, b, H, W) array it reads.
-
-    At stride 1 that is the (c, e - s) window of the flat matrix that feeds
-    output columns ``cols`` = (s, e); otherwise a strided (c, b, ho, wo) slice.
-    """
-    c, bs, hp, wp = a.shape
-    if stride == 1:
-        flat = a.reshape(c, -1)
-        s, e = cols
-        for i in range(kh):
-            for j in range(kw):
-                yield i, j, flat[:, i * wp + j + s:i * wp + j + e]
-        return
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
+def _taps(a: np.ndarray, kh: int, kw: int, stride: int, cols: tuple):
+    """Per kernel tap (i, j) of a correlation at ``stride`` over the phases
+    ``a``: the (c, e - s) window of their flat matrix that feeds output
+    columns ``cols`` = (s, e)."""
+    rows, _, _, wp = a.shape
+    c = rows // (stride * stride)
+    flat = a.reshape(rows, -1)
+    s, e = cols
     for i in range(kh):
         for j in range(kw):
-            yield i, j, a[:, :, i:i + stride * (ho - 1) + 1:stride,
-                          j:j + stride * (wo - 1) + 1:stride]
-
-
-def _span(a: np.ndarray, kh: int, kw: int) -> int:
-    """Output columns of a stride-1 correlation over the flat (c, b * H * W) matrix."""
-    _, bs, hp, wp = a.shape
-    return bs * hp * wp - (kh - 1) * wp - (kw - 1)
+            p = (i % stride * stride + j % stride) * c
+            o = i // stride * wp + j // stride
+            yield i, j, flat[p:p + c, o + s:o + e]
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -216,42 +197,34 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _gather(a: np.ndarray, kh: int, kw: int, stride: int,
             w: np.ndarray | None = None, g: np.ndarray | None = None) -> tuple:
-    """One pass over the taps of a padded (c, b, H, W) array: (correlation,
-    weight gradient) of its valid strided correlation, each None unless asked.
+    """One pass over the taps of the stride-s correlation of an input whose
+    ``_space_to_depth`` phases are ``a`` (s * s * c, b, H, W): (correlation,
+    weight gradient), each None unless asked.
 
-    With ``w`` (n, c, kh, kw) the correlation is (n, b, ho, wo); with ``g``, an
-    (n, b, ho, wo) gradient of that output, the weight gradient is (n, c, kh, kw).
+    With ``w`` (n, c, kh, kw) the correlation is (n, b, ho, wo), where
+    ho = H - (kh - 1) // s and wo = W - (kw - 1) // s; with ``g``, a batch-major
+    (b, n, ho, wo) gradient of that output, the weight gradient is (n, c, kh, kw).
     """
-    c, bs, hp, wp = a.shape
-    n = (w if w is not None else g).shape[0]
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
+    rows, bs, hp, wp = a.shape
+    c = rows // (stride * stride)
+    n = w.shape[0] if w is not None else g.shape[1]
+    ho, wo = hp - (kh - 1) // stride, wp - (kw - 1) // stride
     dtype = np.result_type(a, *(v for v in (w, g) if v is not None))
-    if stride > 1:
-        dw = np.empty((n, c, kh, kw), dtype=dtype) if g is not None else None
-        acc = 0
-        for i, j, tap in _taps(a, kh, kw, stride):
-            tap = tap.reshape(c, -1)
-            if w is not None:
-                acc += _matmul(w[:, :, i, j], tap)
-            if g is not None:
-                dw[:, :, i, j] = g.reshape(n, -1) @ tap.T
-        return (acc.reshape(n, bs, ho, wo) if w is not None else None), dw
-    span = _span(a, kh, kw)
+    span = (bs - 1) * hp * wp + (ho - 1) * wp + wo  # one past the last valid output
     # a 1-row product is a GEMV, whose bits depend on the window's width, and
     # a 1-column one is an outer product, which tiles do not speed up
     whole = w is not None and 1 in w.shape[:2]
-    tiles = [(0, span)] if whole else _tiles(span, (c + 2 * n) * dtype.itemsize)
+    tiles = [(0, span)] if whole else _tiles(span, (rows + 2 * n) * dtype.itemsize)
     if g is not None:
         # g on a's flat grid, so window column p of every tap meets output p
         gm = np.zeros((n, bs, hp, wp), dtype=g.dtype)
-        gm[:, :, :ho, :wo] = g
+        gm[:, :, :ho, :wo] = g.transpose(1, 0, 2, 3)
         gm = gm.reshape(n, -1)
         dwt = np.zeros((kh, kw, c, n), dtype=dtype)
     grid = None
     for s, e in tiles:
         acc = 0
-        for i, j, tap in _taps(a, kh, kw, 1, (s, e)):
+        for i, j, tap in _taps(a, kh, kw, stride, (s, e)):
             if w is not None:
                 acc += _matmul(w[:, :, i, j], tap)
             if g is not None:
@@ -311,25 +284,31 @@ def _correlate_adjoint(a: np.ndarray, w: np.ndarray, stride: int, pad: int,
     return out
 
 
-def _space_to_depth(g: np.ndarray, s: int, pad: int, hq: int, wq: int) -> np.ndarray:
+def _space_to_depth(v: np.ndarray, s: int, pad: int, hq: int, wq: int) -> np.ndarray:
     """Batch-major (b, c, H, W) -> (s * s * c, b, hq, wq): channel block (r, r')
-    holds phase (r, r') of g padded by ``pad``, element [q, q'] its padded
+    holds phase (r, r') of v padded by ``pad``, element [q, q'] its padded
     element [s q + r, s q' + r'], zero past its edges."""
-    bs, c = g.shape[:2]
-    out = np.zeros((s, s, c, bs, hq, wq), dtype=g.dtype)
+    bs, c = v.shape[:2]
+    out = np.zeros((s, s, c, bs, hq, wq), dtype=v.dtype)
     for r in range(s):
         for r2 in range(s):
-            # first phase row and column inside g, and the g row and column they hold
+            # first phase row and column inside v, and the v row and column they hold
             q0, q1 = -((r - pad) // s), -((r2 - pad) // s)
-            src = g[:, :, s * q0 + r - pad::s, s * q1 + r2 - pad::s][:, :, :hq - q0, :wq - q1]
+            src = v[:, :, s * q0 + r - pad::s, s * q1 + r2 - pad::s][:, :, :hq - q0, :wq - q1]
             out[r, r2, :, :, q0:q0 + src.shape[2], q1:q1 + src.shape[3]] = src.transpose(1, 0, 2, 3)
     return out.reshape(s * s * c, bs, hq, wq)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
-    """2-D convolution, zero padding. Weight (cout, cin, kh, kw), bias (1, cout, 1, 1)."""
+def _check_stride_pad(stride: int, pad: int) -> None:
     if stride not in (1, 2):
         raise UsageError(f"stride must be 1 or 2, got {stride}")
+    if pad < 0:
+        raise UsageError(f"pad must be >= 0, got {pad}")
+
+
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
+    """2-D convolution, zero padding. Weight (cout, cin, kh, kw), bias (1, cout, 1, 1)."""
+    _check_stride_pad(stride, pad)
     bs, cin, h, wd = x.shape
     cout, cin_w, kh, kw = w.shape
     if cin != cin_w:
@@ -340,12 +319,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Te
     wo = (wd + 2 * pad - kw) // stride + 1
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"kernel {kh}x{kw} too large for input {h}x{wd} with pad {pad}")
-    out = _batch_major(_gather(_channel_major(x.data, pad), kh, kw, stride, w=w.data)[0], b.data)
+    hq, wq = ho + (kh - 1) // stride, wo + (kw - 1) // stride
+    out = _batch_major(_gather(_space_to_depth(x.data, stride, pad, hq, wq), kh, kw, stride,
+                               w=w.data)[0], b.data)
 
     def backward(g):
         db = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
-        # the padded input is rebuilt here rather than held on the tape
-        dw = (_gather(_channel_major(x.data, pad), kh, kw, stride, g=_channel_major(g))[1]
+        # the input's phases are rebuilt here rather than held on the tape
+        dw = (_gather(_space_to_depth(x.data, stride, pad, hq, wq), kh, kw, stride, g=g)[1]
               if w.requires_grad else None)
         dx = _correlate_adjoint(g, w.data, stride, pad, h, wd) if x.requires_grad else None
         return dx, dw, db
@@ -355,6 +336,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Te
 
 def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int = 1) -> Tensor:
     """Transposed convolution. Weight (cin, cout, kh, kw); output grows by ``stride``."""
+    _check_stride_pad(stride, pad)
     bs, cin, h, wd = x.shape
     cin_w, cout, kh, kw = w.shape
     if cin != cin_w:
@@ -381,7 +363,7 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int 
             dx, dw = _gather(_space_to_depth(g, s, pad, h + kh2 - 1, wd + kw2 - 1), kh2, kw2, 1,
                              w=(wk.transpose(0, 3, 5, 1, 2, 4).reshape(cin, -1, kh2, kw2)
                                 if x.requires_grad else None),
-                             g=x.data.transpose(1, 0, 2, 3) if w.requires_grad else None)
+                             g=x.data if w.requires_grad else None)
         if dx is not None:
             dx = np.ascontiguousarray(dx.transpose(1, 0, 2, 3))
         if dw is not None:

@@ -8,7 +8,7 @@ import pytest
 from warpadapt import kernels as K
 from warpadapt.autograd import Tensor, backward, concat, grad_check, result
 from warpadapt.checks import kernel_cases
-from warpadapt.errors import ShapeError
+from warpadapt.errors import ShapeError, UsageError
 from warpadapt.warping import warp
 
 from test_autograd import make_tensor
@@ -63,6 +63,13 @@ def conv2d_input_grad_bruteforce(g, w, stride, pad, h, wd):
     dxp = np.zeros(g.shape[:1] + w.shape[1:2] + (h + 2 * pad, wd + 2 * pad))
     dxp[:, :, :full.shape[2], :full.shape[3]] = full
     return dxp[:, :, pad:pad + h, pad:pad + wd]
+
+
+def channel_major(v, pad=0):
+    """(b, c, h, w) -> contiguous, zero-padded (c, b, h + 2 pad, w + 2 pad):
+    the layout the references below read."""
+    return np.ascontiguousarray(np.pad(v, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+                                .transpose(1, 0, 2, 3))
 
 
 def correlate_whole_window(xp, w):
@@ -406,10 +413,26 @@ class TestConv:
         with pytest.raises(ShapeError):
             K.conv2d(x, w, b)
 
+    @pytest.mark.parametrize("transposed", [False, True], ids=["conv", "convT"])
+    @pytest.mark.parametrize("stride,pad", [(0, 1), (3, 1), (1, -1), (2, -1)])
+    def test_stride_and_pad_refused(self, transposed, stride, pad):
+        # 1x1 kernels, so a negative pad leaves a positive output extent
+        conv, w = ((K.conv_transpose2d, rand((2, 3, 1, 1))) if transposed
+                   else (K.conv2d, rand((3, 2, 1, 1))))
+        with pytest.raises(UsageError, match="stride must be 1 or 2|pad must be >= 0"):
+            conv(rand((1, 2, 6, 8)), w, rand((1, 3, 1, 1)), stride=stride, pad=pad)
 
-def tile_count(a, cout, kh=3, kw=3):
-    """Column tiles ``K._gather`` runs over the padded input ``a`` for ``cout`` outputs."""
-    return len(K._tiles(K._span(a, kh, kw), (a.shape[0] + 2 * cout) * a.itemsize))
+
+def flat_span(a, kh=3, kw=3, stride=1):
+    """One past the last valid output column of ``K._gather``'s flat grid
+    over the phases ``a``."""
+    _, bs, hp, wp = a.shape
+    return bs * hp * wp - (kh - 1) // stride * wp - (kw - 1) // stride
+
+
+def tile_count(a, cout, kh=3, kw=3, stride=1):
+    """Column tiles ``K._gather`` runs over the phases ``a`` for ``cout`` outputs."""
+    return len(K._tiles(flat_span(a, kh, kw, stride), (a.shape[0] + 2 * cout) * a.itemsize))
 
 
 def openblas_config() -> str:
@@ -460,13 +483,13 @@ class TestTiledConv:
     def forward_and_input_adjoint(self, dtype):
         """(y, dx) of the tiled layer and of the whole-window reference."""
         rng, x, w, b = self.layer(dtype)
-        xp = K._channel_major(x.data, 1)
+        xp = channel_major(x.data, 1)
         assert tile_count(xp, 8) > 1
         y = K.conv2d(x, w, b)
         want_y = correlate_whole_window(xp, w.data).transpose(1, 0, 2, 3)
         # the input adjoint is the full correlation of g with the flipped kernel
         g = rng.standard_normal(y.shape).astype(dtype)
-        gp = K._channel_major(g, 2)
+        gp = channel_major(g, 2)
         w_adj = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         assert tile_count(gp, 13) > 1
         dx, _, _ = y._backward(g)
@@ -489,7 +512,7 @@ class TestTiledConv:
         # size, and runs the reference's very products; batch 4 is the first
         # at which the pf head passes the budget
         _, x, w, b = self.layer(dtype, shape=(4, 8, 64, 128), cout=1)
-        xp = K._channel_major(x.data, 1)
+        xp = channel_major(x.data, 1)
         assert tile_count(xp, 1) > 1
         y = K.conv2d(x, w, b)
         assert np.array_equal(y.data, correlate_whole_window(xp, w.data).transpose(1, 0, 2, 3))
@@ -501,7 +524,7 @@ class TestTiledConv:
         rng, x, w, b = self.layer(dtype, shape=(2, 8, 64, 128), cout=1)
         y = K.conv2d(x, Tensor(w.data), b)
         g = rng.standard_normal(y.shape).astype(dtype)
-        gp = K._channel_major(g, 2)
+        gp = channel_major(g, 2)
         assert tile_count(gp, 8) > 1
         monkeypatch.setattr(K, "_tiles", lambda *args: pytest.fail("the layer ran in tiles"))
         dx, _, _ = y._backward(g)
@@ -513,8 +536,8 @@ class TestTiledConv:
         # the stride-1 transposed-conv backward asks for both outputs at once;
         # each is the products of its own pass, so the bits hold on any BLAS
         rng, x, w, _ = self.layer(dtype)
-        a = K._channel_major(x.data, 1)
-        g = rng.standard_normal((8, 2, 64, 128)).astype(dtype)
+        a = channel_major(x.data, 1)
+        g = rng.standard_normal((2, 8, 64, 128)).astype(dtype)
         assert tile_count(a, 8) > 1
         out, dw = K._gather(a, 3, 3, 1, w=w.data, g=g)
         assert np.array_equal(out, K._gather(a, 3, 3, 1, w=w.data)[0])
@@ -526,7 +549,7 @@ class TestTiledConv:
         y = K.conv2d(x, w, b)
         g = rng.standard_normal(y.shape).astype(dtype)
         _, dw, _ = y._backward(g)
-        assert_close(dw, wgrad_whole_window(K._channel_major(g), K._channel_major(x.data, 1), 3, 3))
+        assert_close(dw, wgrad_whole_window(channel_major(g), channel_major(x.data, 1), 3, 3))
 
     def test_gradients_are_adjoints(self, dtype):
         # linear in x and in w: <dy, conv(x', w)> == <x', dx>, <dy, conv(x, w')> == <w', dw>
@@ -557,13 +580,13 @@ class TestTiledConv:
         y = K.conv_transpose2d(x, w, b, stride=2, pad=1)
         g = rng.standard_normal(y.shape).astype(dtype)
         dx, dw, _ = y._backward(g)
-        gp = K._channel_major(g, 1)
+        gp = channel_major(g, 1)
         if x.requires_grad:
             assert_close(dx, correlate_strided(gp, w.data, 2).transpose(1, 0, 2, 3))
         else:
             assert dx is None
         if w.requires_grad:
-            assert_close(dw, wgrad_strided(K._channel_major(x.data), gp, 4, 4, 2))
+            assert_close(dw, wgrad_strided(channel_major(x.data), gp, 4, 4, 2))
         else:
             assert dw is None
 
@@ -582,7 +605,7 @@ class TestTiledConv:
         phases = np.concatenate([gp[:, :, r::2, r2::2] for r, r2 in rr], axis=1)
         w2 = np.concatenate([w.data[:, :, r::2, r2::2] for r, r2 in rr], axis=1)
         want_dx, dw2 = K._gather(np.ascontiguousarray(phases.transpose(1, 0, 2, 3)), 2, 2, 1,
-                                 w=np.ascontiguousarray(w2), g=K._channel_major(x.data))
+                                 w=np.ascontiguousarray(w2), g=x.data)
         want_dw = np.empty_like(w.data)
         for p, (r, r2) in enumerate(rr):
             want_dw[:, :, r::2, r2::2] = dw2[:, 8 * p:8 * (p + 1)]
@@ -618,17 +641,35 @@ class TestStride2Phases:
         dx, dw, _ = y._backward(g)
         # dx is conv2d of g with w read as a (cin, cout) weight
         assert_close(dx, conv2d_bruteforce(g, w.data, np.zeros((1, cin, 1, 1)), 2, 1))
-        assert_close(dw, wgrad_strided(K._channel_major(x.data), K._channel_major(g, 1), 4, 4, 2))
+        assert_close(dw, wgrad_strided(channel_major(x.data), channel_major(g, 1), 4, 4, 2))
 
     @pytest.mark.parametrize("bs,cin,h,wd,cout", STRIDE2_GRAD_SHAPES)
     def test_conv2d_input_gradient_at_network_shapes(self, bs, cin, h, wd, cout):
+        # with the forward pass and the weight gradient, which read windows of
+        # the input's phases; in float64 four of these shapes run in tiles
         rng = np.random.default_rng([bs, cin, h, cout])
         x = Tensor(rng.standard_normal((bs, cin, h, wd)), requires_grad=True)
-        w = Tensor(rng.standard_normal((cout, cin, 3, 3)) * 0.3)
-        y = K.conv2d(x, w, Tensor(np.zeros((1, cout, 1, 1))), stride=2, pad=1)
+        w = Tensor(rng.standard_normal((cout, cin, 3, 3)) * 0.3, requires_grad=True)
+        b = rng.standard_normal((1, cout, 1, 1))
+        y = K.conv2d(x, w, Tensor(b), stride=2, pad=1)
+        assert_close(y.data, conv2d_bruteforce(x.data, w.data, b, 2, 1))
         g = rng.standard_normal(y.shape)
-        dx, _, _ = y._backward(g)
+        dx, dw, _ = y._backward(g)
         assert_close(dx, conv2d_input_grad_bruteforce(g, w.data, 2, 1, h, wd))
+        assert_close(dw, wgrad_strided(channel_major(g), channel_major(x.data, 1), 3, 3, 2))
+
+    @on_measured_blas
+    @pytest.mark.parametrize("bs,cin,h,wd,cout", STRIDE2_GRAD_SHAPES)
+    def test_conv2d_forward_keeps_strided_bits(self, bs, cin, h, wd, cout):
+        # float32, as the networks run: each output sums the products of the
+        # strided taps in tap order, and (2, 8, 64, 128) -> 16 runs two tiles
+        rng = np.random.default_rng([bs, cin, h, cout])
+        x = rng.standard_normal((bs, cin, h, wd)).astype(np.float32)
+        w = (rng.standard_normal((cout, cin, 3, 3)) * 0.3).astype(np.float32)
+        y = K.conv2d(Tensor(x), Tensor(w), Tensor(np.zeros((1, cout, 1, 1), np.float32)),
+                     stride=2, pad=1)
+        assert np.array_equal(y.data, correlate_strided(channel_major(x, 1), w, 2)
+                              .transpose(1, 0, 2, 3))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("hw", [(5, 7), (6, 8), (7, 6)])
@@ -653,14 +694,14 @@ class TestTileBlocks:
     @staticmethod
     def layer():
         rng = np.random.default_rng(4)
-        xp = K._channel_major(rng.standard_normal((2, 18, 32, 64)), 1)
+        xp = channel_major(rng.standard_normal((2, 18, 32, 64)), 1)
         return xp, rng.standard_normal((8, 18, 3, 3))
 
     def test_interior_tiles_end_on_whole_blocks(self):
         # every tile but the last is a whole number of TILE_ALIGN columns, so
         # only the last ends in a partial GEMM block, as the whole window does
         xp, w = self.layer()
-        tiles = K._tiles(K._span(xp, 3, 3), (18 + 2 * 8) * xp.itemsize)
+        tiles = K._tiles(flat_span(xp), (18 + 2 * 8) * xp.itemsize)
         assert len(tiles) > 1
         assert all((e - s) % K.TILE_ALIGN == 0 for s, e in tiles[:-1])
         assert_close(K._gather(xp, 3, 3, 1, w=w)[0], correlate_whole_window(xp, w))
