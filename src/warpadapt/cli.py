@@ -20,8 +20,8 @@ from .errors import ConfigError, FormatError, MetricError, NonFiniteError, Usage
 from .scenegen import (SceneSample, apply_domain_shift, check_scene_params,
                        generate_scene, read_dataset, sample_from_bytes,
                        sample_to_bytes, shift_preset, split_domains, write_dataset)
-from .trainer import (CONFIG_KEYS, _holdout, build_train_config, load_checkpoint,
-                      parse_config_text, run_training)
+from .trainer import (CONFIG_KEYS, _holdout, build_train_config, check_data_extent,
+                      load_checkpoint, parse_config_text, run_training)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -110,6 +110,8 @@ def cmd_eval(args) -> int:
     samples = read_dataset(args.data)
     _, real = split_domains(samples)
     _, val = _holdout(real, state.config.val_count)
+    if not args.oracle:
+        check_data_extent(state.config, val)
     d1_mode = args.d1_mode or state.config.d1_mode
     report = M.evaluate(state.nets, val, d1_mode=d1_mode, oracle=args.oracle,
                         config={"checkpoint": os.path.basename(args.checkpoint),

@@ -548,6 +548,24 @@ def _holdout(samples: list, val_count: int) -> tuple:
     return (samples[:-val_count], samples[-val_count:]) if val_count else (samples, samples)
 
 
+# the networks correlate at quarter resolution, over max_disp // 4 columns and
+# max_flow // 4 rows and columns, and each range must stay inside its extent
+RANGE_RULE = "the networks need width > max_disp, width > max_flow and height > max_flow"
+
+
+def check_data_extent(config: TrainConfig, samples: list) -> None:
+    """Raise ConfigError unless the config's correlation ranges fit the extent
+    of ``samples``, which all share the first one's extent."""
+    if not samples:
+        return
+    h, w = samples[0].left.shape[2:]
+    for key, extent in (("max_disp", w), ("max_flow", w), ("max_flow", h)):
+        value = getattr(config, key)
+        if value >= extent:
+            raise ConfigError(f"{key} {value} does not fit the data's {w}x{h} extent: "
+                              f"{RANGE_RULE}")
+
+
 def run_training(config: TrainConfig, data_dir: str, out_dir: str,
                  resume: str | None = None):
     """Train on a generated dataset directory; returns (state, log lines).
@@ -562,6 +580,7 @@ def run_training(config: TrainConfig, data_dir: str, out_dir: str,
     synthetic, real = split_domains(samples)
     if not synthetic or not real:
         raise UsageError("dataset must contain both synthetic and real samples")
+    check_data_extent(config, samples)
     syn_train, _ = _holdout(synthetic, config.val_count)
     real_train, real_val = _holdout(real, config.val_count)
     if not syn_train or not real_train:

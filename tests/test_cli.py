@@ -414,6 +414,57 @@ class TestExtentRule:
         assert not os.path.exists(out)
 
 
+class TestCorrelationRange:
+    """Data too small for the networks' quarter-resolution correlation ranges
+    is refused before a run starts, in one line naming the key, the data's
+    extent and the rule."""
+
+    RULE = "the networks need width > max_disp, width > max_flow and height > max_flow"
+
+    @staticmethod
+    def dataset(root, width, height):
+        data = str(root / f"d{width}x{height}")
+        assert main(["generate", "--count", "2", "--seed", "5", "--out", data,
+                     "--width", str(width), "--height", str(height)]) == 0
+        return data
+
+    @pytest.mark.parametrize("width, height, overrides, message", [
+        (16, 8, [], "max_disp 16 does not fit the data's 16x8 extent"),
+        (8, 16, ["--max_disp", "4", "--max_flow", "8"],
+         "max_flow 8 does not fit the data's 8x16 extent"),
+        (16, 8, ["--max_disp", "8", "--max_flow", "8"],
+         "max_flow 8 does not fit the data's 16x8 extent"),
+    ], ids=["max_disp_vs_width", "max_flow_vs_width", "max_flow_vs_height"])
+    def test_train_exits_2_before_making_out_dir(self, tmp_path, capsys, width, height,
+                                                 overrides, message):
+        data = self.dataset(tmp_path, width, height)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["train", "--data", data, "--out", str(out), "--total_iters", "1",
+                     "--val_count", "1"] + overrides) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {message}: {self.RULE}\n"
+        assert not out.exists()
+
+    def test_eval_exits_2(self, small_run, tmp_path, capsys):
+        # the checkpoint's max_disp is 8
+        data = self.dataset(tmp_path, 8, 8)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", small_run["checkpoint"], "--data", data]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: max_disp 8 does not fit the data's 8x8 extent: {self.RULE}\n"
+        # the oracle scores the ground truth and runs no network
+        assert main(["eval", "--checkpoint", small_run["checkpoint"], "--data", data,
+                     "--oracle"]) == 0
+
+    def test_largest_ranges_that_fit_train(self, tmp_path):
+        data = self.dataset(tmp_path, 16, 8)
+        assert main(["train", "--data", data, "--out", str(tmp_path / "o"),
+                     "--total_iters", "1", "--k", "1", "--batch_size", "1",
+                     "--channels_base", "4", "--max_disp", "12", "--max_flow", "4",
+                     "--val_count", "1", "--eval_every", "0"]) == 0
+
+
 class TestTranslate:
     def test_cycle_writes_triple(self, small_run, tmp_path, capsys):
         from warpadapt.scenegen import read_dataset, split_domains

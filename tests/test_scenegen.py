@@ -14,13 +14,13 @@ from warpadapt.warping import warp
 
 
 def render(monkeypatch, seed, composite=scenegen._composite, **kwargs):
-    """generate_scene through ``composite``, plus the (layers, owner-id map)
-    of each view it composited: left, right, next frame."""
+    """generate_scene through ``composite``, plus the (layers, owner-id map,
+    float64 image) of each view it composited: left, right, next frame."""
     views = []
 
     def recording(layers, xs, ys, offset_of):
         img, ids = composite(layers, xs, ys, offset_of)
-        views.append((layers, ids))
+        views.append((layers, ids, img))
         return img, ids
 
     monkeypatch.setattr(scenegen, "_composite", recording)
@@ -30,7 +30,7 @@ def render(monkeypatch, seed, composite=scenegen._composite, **kwargs):
 def stereo_valid(views):
     """(1, 1, h, w) mask of left-view pixels whose surface the right view
     still shows at x - d."""
-    (layers, id_left), (_, id_right), _ = views
+    (layers, id_left, _), (_, id_right, _), _ = views
     h, w = id_left.shape
     ys, xs = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64),
                          indexing="ij")
@@ -100,6 +100,18 @@ class TestGenerate:
             generate_scene(seed=0, width=32, height=16, max_disp=max_disp, max_flow=max_flow)
 
 
+def eval_texture(tex, xs, ys):
+    """A layer's texture at its own coordinates, one channel at a time."""
+    base, waves = tex
+    out = np.empty((3,) + xs.shape)
+    for c in range(3):
+        acc = np.full(xs.shape, base[c])
+        for amp, k, cth, sth, phase, signs in waves:
+            acc = acc + signs[c] * amp * np.sin(k * (xs * cth + ys * sth) + phase[c])
+        out[c] = acc
+    return out
+
+
 def painter_composite(layers, xs, ys, offset_of):
     """Reference composite, the painter's algorithm: every layer is textured
     over the whole view, far to near, and nearer layers overwrite it."""
@@ -111,18 +123,19 @@ def painter_composite(layers, xs, ys, offset_of):
         m = layer.member(lx, ly)
         if not m.any():
             continue
-        tex = scenegen._eval_texture(layer.tex, lx, ly)
+        tex = eval_texture(layer.tex, lx, ly)
         img[:, m] = tex[:, m]
         ids[m] = idx
     return img, ids
 
 
 # default extents (seed 4 hides a layer in every view), one layer, twelve
-# layers, and a small scene with a short disparity range
-COMPOSITE_CASES = ([(seed, {}) for seed in range(6)]
+# layers, a small scene with a short disparity range, and the smallest extent
+COMPOSITE_CASES = ([(seed, {}) for seed in range(26)]
                    + [(seed, {"num_layers": 0}) for seed in range(2)]
                    + [(seed, {"num_layers": 12}) for seed in range(3)]
-                   + [(seed, {"width": 96, "height": 48, "max_disp": 8}) for seed in range(3)])
+                   + [(seed, {"width": 96, "height": 48, "max_disp": 8}) for seed in range(3)]
+                   + [(0, {"width": 8, "height": 8, "max_disp": 4, "max_flow": 2})])
 COMPOSITE_IDS = [f"seed{seed}" + "".join(f"-{k}{v}" for k, v in kwargs.items())
                  for seed, kwargs in COMPOSITE_CASES]
 
@@ -151,28 +164,32 @@ class TestComposite:
         for name in ("left", "right", "next_left", "disparity", "flow", "occlusion"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert len(got_views) == len(want_views) == 3
-        for (_, got_ids), (_, want_ids) in zip(got_views, want_views):
+        for (_, got_ids, got_img), (_, want_ids, want_img) in zip(got_views, want_views):
             assert np.array_equal(got_ids, want_ids)
+            # before the float32 cast, which hides most float64 reorderings
+            assert np.array_equal(got_img, want_img)
 
     def test_cases_include_a_layer_that_owns_no_pixel(self, monkeypatch):
         hidden = []
         for seed, kwargs in COMPOSITE_CASES:
             _, views = render(monkeypatch, seed, **kwargs)
             hidden += [np.bincount(ids.ravel(), minlength=len(layers)).min() == 0
-                       for layers, ids in views]
+                       for layers, ids, _ in views]
         assert len(hidden) == 3 * len(COMPOSITE_CASES) and any(hidden)
 
     def test_each_pixel_textured_once(self, monkeypatch):
-        texture = scenegen._eval_texture
-        textured = []
+        # each view takes one sine per wave and channel at each pixel; the
+        # layer sampler's scalar angle sines are not counted
+        sin = np.sin
+        sizes = []
 
-        def counting(tex, xs, ys):
-            textured.append(xs.size)
-            return texture(tex, xs, ys)
+        def counting(x, *args, **kwargs):
+            sizes.append(np.size(x) if np.ndim(x) else 0)
+            return sin(x, *args, **kwargs)
 
-        monkeypatch.setattr(scenegen, "_eval_texture", counting)
+        monkeypatch.setattr(np, "sin", counting)
         generate_scene(4, width=128, height=64)
-        assert sum(textured) == 3 * 128 * 64
+        assert sum(sizes) == 3 * 9 * 128 * 64
 
 
 class TestDomainShift:
