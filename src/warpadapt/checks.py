@@ -241,10 +241,10 @@ def loss_cases(seed: int = 0) -> Iterator[tuple[str, Callable, Tensor, float]]:
         warped0 = warp(tap_full, dfield, 1)
     tap_dst = Tensor(warped0.data + _offset(rng, (1, 2, 8, 8), 0.1, 0.6))
     yield ("warp_loss/disp_taps",
-           lambda t: multiscale_warp_loss([t], [tap_dst], dfield, sign=1),
+           lambda t: multiscale_warp_loss(dfield, [([t], [tap_dst], 1)]),
            tap_full, KINKED_TOL)
     yield ("warp_loss/disp_values",
-           lambda t: multiscale_warp_loss([tap_full], [tap_dst], t, sign=1),
+           lambda t: multiscale_warp_loss(t, [([tap_full], [tap_dst], 1)]),
            dfield, KINKED_TOL)
 
     fvals = rng.integers(-2, 2, size=(1, 2, 8, 8)) + rng.uniform(0.3, 0.7, size=(1, 2, 8, 8))
@@ -253,8 +253,23 @@ def loss_cases(seed: int = 0) -> Iterator[tuple[str, Callable, Tensor, float]]:
         fwarped0 = warp(tap_full, ffield, 1)
     ftap_dst = Tensor(fwarped0.data + _offset(rng, (1, 2, 8, 8), 0.1, 0.6))
     yield ("warp_loss/flow_values",
-           lambda t: multiscale_warp_loss([tap_full], [ftap_dst], t, sign=1),
+           lambda t: multiscale_warp_loss(t, [([tap_full], [ftap_dst], 1)]),
            ffield, KINKED_TOL)
+
+    # two warps of opposite sign along one flow field, taps at 8x8 and 4x4, on
+    # their own stream. The field is constant on 2x2 blocks with fractions that,
+    # halved or not and read with either sign, stay inside interpolation cells
+    r3, s4 = np.random.default_rng([seed, 7411]), (1, 2, 4, 4)
+    half = r3.integers(-1, 1, s4) + r3.uniform(0.3, 0.35, s4) + 0.35 * r3.integers(0, 2, s4)
+    both_field = Tensor(np.repeat(np.repeat(2.0 * half, 2, axis=2), 2, axis=3))
+    both = []
+    for sign in (1, -1):
+        src = [_rand(r3, (1, 2, 8, 8)), _rand(r3, (1, 3, 4, 4))]
+        dst = [Tensor(warp(s, f, sign).data + _offset(r3, s.shape, 0.1, 0.6))
+               for s, f in zip(src, (both_field, Tensor(half)))]
+        both.append((src, dst, sign))
+    yield ("warp_loss/flow_both_ways", lambda t: multiscale_warp_loss(t, both),
+           both_field, KINKED_TOL)
 
     # constant-base targets: upsampling preserves them exactly, so stage errors
     # stay inside (0.2, 0.7) and never touch the smooth-L1 corner at 1

@@ -1,8 +1,8 @@
 """Binary tensor records shared by the dataset and checkpoint files.
 
 A record is: u8 rank (always 4), four little-endian u32 extents, then the
-row-major float32 payload. Readers track byte offsets so truncation and
-corruption surface with the exact position.
+row-major float32 payload, every value finite. Readers track byte offsets so
+truncation, corruption and a NaN or infinity surface with the exact position.
 """
 
 from __future__ import annotations
@@ -75,8 +75,13 @@ class Reader:
             raise FormatError(f"{self.label}: rank {rank} at byte {at}, expected 4")
         shape = tuple(self.u32() for _ in range(4))
         count = int(np.prod(shape))
-        payload = self.take(4 * count)
-        return np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+        start = self.off
+        arr = np.frombuffer(self.take(4 * count), dtype="<f4")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise FormatError(f"{self.label}: non-finite value at byte "
+                              f"{start + 4 * int(np.argmin(finite))}")
+        return arr.reshape(shape).copy()
 
     def done(self) -> None:
         if self.off != len(self.buf):

@@ -322,7 +322,7 @@ def write_dataset(samples, out_dir: str) -> list[str]:
 
 
 def read_dataset(data_dir: str) -> list[SceneSample]:
-    """The samples ``manifest.txt`` lists. Each must hold all three frames, and
+    """The samples ``manifest.txt`` lists. Each must hold all six fields, and
     every field must have the first sample's extent; else FormatError."""
     manifest = os.path.join(data_dir, "manifest.txt")
     if not os.path.exists(manifest):
@@ -335,10 +335,12 @@ def read_dataset(data_dir: str) -> list[SceneSample]:
         with open(os.path.join(data_dir, name), "rb") as fh:
             sample = sample_from_bytes(fh.read(), label=name)
         arrays = [getattr(sample, f) for f in FIELD_ORDER]
-        if any(a is None for a in arrays[:3]):
-            raise FormatError(f"{name}: a dataset sample needs left, right and next_left")
+        missing = [f for f, a in zip(FIELD_ORDER, arrays) if a is None]
+        if missing:
+            raise FormatError(f"{name}: a dataset sample needs all six fields, "
+                              f"{missing[0]} is missing")
         h, w = (samples[0] if samples else sample).left.shape[2:]
-        if any(a is not None and a.shape[2:] != (h, w) for a in arrays):
+        if any(a.shape[2:] != (h, w) for a in arrays):
             raise FormatError(f"{name}: a field's extent is not the first sample's {w}x{h}")
         samples.append(sample)
     return samples

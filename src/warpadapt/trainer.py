@@ -258,15 +258,11 @@ def _batch_indices(count: int, batch: int, seed: int, tag: int, iteration: int):
     return perm[slot * batch:(slot + 1) * batch]
 
 
-def _stack(samples, attr):
-    return Tensor(np.concatenate([getattr(s, attr) for s in samples], axis=0))
-
-
 def make_batch(samples, indices):
-    """Each field the first chosen sample holds, stacked along the batch axis."""
+    """Every field of the chosen samples, stacked along the batch axis."""
     chosen = [samples[i] for i in indices]
-    return {name: _stack(chosen, name) for name in FIELD_ORDER
-            if getattr(chosen[0], name) is not None}
+    return {name: Tensor(np.concatenate([getattr(s, name) for s in chosen], axis=0))
+            for name in FIELD_ORDER}
 
 
 # -- the two step kinds --------------------------------------------------------------
@@ -343,12 +339,10 @@ def translation_step(state: TrainState, syn: dict, real: dict) -> dict:
                              + L.perceptual_loss(rec_x_l, x_l, nets["extractor"])),
         "cosine": _maybe(w.lambda_cosine,
                          lambda: L.cosine_loss(rec_y_l, y_l) + L.cosine_loss(rec_x_l, x_l)),
-        "disp_warp_syn": _maybe(w.lambda_disp_warp_syn, lambda: (
-            multiscale_warp_loss(ax_l, ax_r, syn["disparity"], sign=-1)
-            + multiscale_warp_loss(bx_l, bx_r, syn["disparity"], sign=-1))),
-        "flow_warp_syn": _maybe(w.lambda_flow_warp_syn, lambda: (
-            multiscale_warp_loss(ax_l, ax_t1, syn["flow"], sign=-1, mask=occ)
-            + multiscale_warp_loss(bx_l, bx_t1, syn["flow"], sign=-1, mask=occ))),
+        "disp_warp_syn": _maybe(w.lambda_disp_warp_syn, lambda: multiscale_warp_loss(
+            syn["disparity"], [(ax_l, ax_r, -1), (bx_l, bx_r, -1)])),
+        "flow_warp_syn": _maybe(w.lambda_flow_warp_syn, lambda: multiscale_warp_loss(
+            syn["flow"], [(ax_l, ax_t1, -1), (bx_l, bx_t1, -1)], mask=occ)),
         "corr_consistency": _maybe(w.lambda_corr,
                                    lambda: L.corr_consistency_loss(x_l, x_r, fx_l, fx_r)),
         "mode_seeking": _maybe(w.lambda_ms,
@@ -363,12 +357,6 @@ def translation_step(state: TrainState, syn: dict, real: dict) -> dict:
 def _maybe(weight: float, fn):
     """Skip computing a term whose weight is zero (ablations)."""
     return _zero() if weight == 0.0 else fn()
-
-
-def _warp_both_ways(field: Tensor, taps_a, taps_b) -> Tensor:
-    """Warp loss of a's taps onto b's (sign -1) plus b's onto a's (sign +1) along one field."""
-    return (multiscale_warp_loss(taps_a, taps_b, field, sign=-1)
-            + multiscale_warp_loss(taps_b, taps_a, field, sign=1))
 
 
 def task_step(state: TrainState, syn: dict, real: dict | None) -> dict:
@@ -396,10 +384,10 @@ def task_step(state: TrainState, syn: dict, real: dict | None) -> dict:
         with no_grad():
             _, taps = nets["gen_b2a"].forward(concat([y_l, y_r, y_t1], axis=0), need_output=False)
             by_l, by_r, by_t1 = zip(*(split(t, 3) for t in taps))
-        disp_warp = _maybe(w.lambda_disp_warp_real, lambda: _warp_both_ways(
-            nets["stereo"].forward(y_l, y_r)[-1], by_l, by_r))
-        flow_warp = _maybe(w.lambda_flow_warp_real, lambda: _warp_both_ways(
-            nets["flow"].forward(y_l, y_t1)[-1], by_l, by_t1))
+        disp_warp = _maybe(w.lambda_disp_warp_real, lambda: multiscale_warp_loss(
+            nets["stereo"].forward(y_l, y_r)[-1], [(by_l, by_r, -1), (by_r, by_l, 1)]))
+        flow_warp = _maybe(w.lambda_flow_warp_real, lambda: multiscale_warp_loss(
+            nets["flow"].forward(y_l, y_t1)[-1], [(by_l, by_t1, -1), (by_t1, by_l, 1)]))
 
     parts = {"disp_supervised": disp_sup, "disp_warp_real": disp_warp,
              "flow_supervised": flow_sup, "flow_warp_real": flow_warp}
@@ -415,8 +403,6 @@ def train_step(state: TrainState, syn: dict, real: dict | None) -> dict:
     """Dispatch one iteration per the alternation schedule and advance it.
     Returns the BREAKDOWN_KEYS record, zero outside the step's own terms,
     and only those terms move their running averages."""
-    if "disparity" not in syn:
-        raise UsageError("synthetic batch lacks ground-truth fields")
     if state.config.objective == "source_only":
         terms = task_step(state, syn, None)
     elif state.iteration % state.config.k == 0:

@@ -11,6 +11,9 @@ is the offset ``kernels.grid_sample`` takes, so a disparity is sampled along x
 alone. A field's values are pixels at its own pyramid level, so resizing it
 rescales them.
 Out-of-bounds taps read as zero and carry no gradient.
+
+``multiscale_warp_loss`` takes a list of warps along one field, such as its two
+directions, and they share each tap level's resized field and mask.
 """
 
 from __future__ import annotations
@@ -44,30 +47,30 @@ def _masked_l1(diff_abs: Tensor, mask: Tensor | None) -> Tensor:
     return (diff_abs * mask).mean() / (mask.mean() + 1e-8)
 
 
-def multiscale_warp_loss(taps_src, taps_dst, field: Tensor, sign: int = 1,
-                         mask: Tensor | None = None) -> Tensor:
-    """Mean over taps of the L1 gap between warped source and target features.
-
-    The field is given at full resolution and is resized (values rescaled) to
-    each tap's level. An optional full-resolution mask gates the L1 map and the
-    per-tap loss is renormalized by the mask mean. Taps run fine to coarse:
-    each tap's mask is halved from the previous tap's.
+def multiscale_warp_loss(field: Tensor, warps, mask: Tensor | None = None) -> Tensor:
+    """Sum over ``(taps_src, taps_dst, sign)`` warps along one full-resolution
+    field of the mean over taps of the L1 gap between warped source and target
+    features. The warps' k-th taps share one extent, fine to coarse. At each
+    level the field is resized (values rescaled) from the level before and an
+    optional mask is halved with it, and every warp reads both; the mask gates
+    the L1 map and each tap's loss is renormalized by the mask mean.
     """
-    if len(taps_src) != len(taps_dst):
-        raise UsageError(f"{len(taps_src)} source taps vs {len(taps_dst)} target taps")
-    if not taps_src:
-        raise UsageError("empty tap lists")
-    total = None
-    for src, dst in zip(taps_src, taps_dst):
-        if src.shape != dst.shape:
-            raise ShapeError(f"tap shape mismatch {src.shape} vs {dst.shape}")
-        hw = src.shape[2:]
+    n = len(warps[0][0]) if warps else 0
+    if not n or any(len(src) != n or len(dst) != n for src, dst, _ in warps):
+        raise UsageError("warps need equal, non-zero tap counts, got "
+                         f"{[(len(src), len(dst)) for src, dst, _ in warps]}")
+    terms = [[] for _ in warps]
+    for level in range(n):
+        hw = warps[0][0][level].shape[2:]
+        field = resize_field(field, hw)
         while mask is not None and mask.shape[2:] != hw:
             mask = K.downsample2(mask)
-        diff = K.absolute(warp(src, resize_field(field, hw), sign) - dst)
-        term = _masked_l1(diff, mask)
-        total = term if total is None else total + term
-    return total * (1.0 / len(taps_src))
+        for (src, dst, sign), out in zip(warps, terms):
+            if src[level].shape != dst[level].shape:
+                raise ShapeError(f"tap shape mismatch {src[level].shape} vs {dst[level].shape}")
+            out.append(_masked_l1(K.absolute(warp(src[level], field, sign) - dst[level]), mask))
+    totals = [sum(t[1:], t[0]) * (1.0 / n) for t in terms]
+    return sum(totals[1:], totals[0])
 
 
 def stagewise_warp_loss(stages, target: Tensor, gamma: float = 0.9,

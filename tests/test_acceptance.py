@@ -227,7 +227,7 @@ class TestCriterion4:
         taps = [Tensor(rng.uniform(-1, 1, (1, 2, 16, 16))),
                 Tensor(rng.uniform(-1, 1, (1, 4, 8, 8)))]
         zf = Tensor(np.zeros((1, 1, 16, 16)))
-        checks.append(multiscale_warp_loss(taps, taps, zf).item() == 0.0)
+        checks.append(multiscale_warp_loss(zf, [(taps, taps, 1)]).item() == 0.0)
         gt = Tensor(np.full((1, 1, 16, 16), 3.0))
         stages = [Tensor(np.full((1, 1, 8, 8), 1.5)), Tensor(np.full((1, 1, 16, 16), 3.0))]
         checks.append(L.supervised_disp_loss(stages, gt).item() == 0.0)

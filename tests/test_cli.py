@@ -4,14 +4,15 @@ import re
 import shutil
 import struct
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from warpadapt.cli import main, write_ppm
 from warpadapt.errors import ConfigError
-from warpadapt.scenegen import SceneSample, generate_scene, sample_to_bytes
-from warpadapt.trainer import parse_config_text
+from warpadapt.scenegen import SceneSample, generate_scene, sample_from_bytes, sample_to_bytes
+from warpadapt.trainer import load_checkpoint, parse_config_text, save_checkpoint
 
 
 def run(argv, capsys=None):
@@ -370,6 +371,99 @@ class TestDataErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def spoil_dataset(src, dst, domain, edit, first_only=False):
+    """A copy of dataset ``src`` at ``dst`` whose samples of ``domain``, or only
+    the first of them, are replaced by ``edit(sample)``."""
+    shutil.copytree(src, dst)
+    for name in sorted(os.listdir(dst)):
+        if not name.endswith(".wad"):
+            continue
+        path = os.path.join(dst, name)
+        with open(path, "rb") as fh:
+            sample = sample_from_bytes(fh.read())
+        if sample.domain == domain:
+            with open(path, "wb") as fh:
+                fh.write(sample_to_bytes(edit(sample)))
+            if first_only:
+                return
+
+
+def with_value(sample, field, value):
+    """``sample`` whose ``field`` holds ``value`` at its first element."""
+    arr = getattr(sample, field).copy()
+    arr.flat[0] = value
+    return SceneSample(**{**vars(sample), field: arr})
+
+
+class TestIncompleteOrNonFiniteData:
+    """A dataset sample missing a field, or holding a NaN or infinity, is
+    refused as it is read: exit 3, one line naming the file and the field or
+    byte, and no out dir for train."""
+
+    CASES = {
+        "real_without_disparity": ("real", lambda s: replace(s, disparity=None), False,
+                                   "a dataset sample needs all six fields, disparity "
+                                   "is missing"),
+        "synthetic_without_flow": ("synthetic", lambda s: replace(s, flow=None), False,
+                                   "a dataset sample needs all six fields, flow is missing"),
+        "one_synthetic_without_occlusion": ("synthetic", lambda s: replace(s, occlusion=None),
+                                            True, "a dataset sample needs all six fields, "
+                                                  "occlusion is missing"),
+        "synthetic_without_disparity": ("synthetic", lambda s: replace(s, disparity=None),
+                                        False, "a dataset sample needs all six fields, "
+                                               "disparity is missing"),
+        "real_nan_pixel": ("real", lambda s: with_value(s, "left", np.nan), False,
+                           "non-finite value at byte 27"),
+        "synthetic_inf_disparity": ("synthetic",
+                                    lambda s: with_value(s, "disparity", np.inf), False,
+                                    "non-finite value at byte "),
+    }
+
+    @pytest.mark.parametrize("command, case", [
+        ("eval", "real_without_disparity"), ("train", "real_without_disparity"),
+        ("train", "synthetic_without_flow"), ("train", "one_synthetic_without_occlusion"),
+        ("train", "synthetic_without_disparity"), ("eval", "real_nan_pixel"),
+        ("train", "real_nan_pixel"), ("train", "synthetic_inf_disparity")])
+    def test_exits_3_naming_file_and_field(self, small_run, tmp_path, capsys, command, case):
+        domain, edit, first_only, message = self.CASES[case]
+        data = str(tmp_path / "data")
+        spoil_dataset(small_run["data"], data, domain, edit, first_only)
+        out = tmp_path / "o"
+        argv = {"eval": ["eval", "--checkpoint", small_run["checkpoint"], "--data", data],
+                "train": ["train", "--data", data, "--out", str(out), "--total_iters", "2",
+                          "--k", "2", "--batch_size", "3", "--channels_base", "4",
+                          "--max_disp", "8", "--max_flow", "4", "--val_count", "1",
+                          "--eval_every", "0"]}[command]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: sample_\d{{5}}\.wad: {message}\d*\n", err), err
+        assert not out.exists()
+
+    def test_non_finite_checkpoint_refused(self, small_run, tmp_path, capsys):
+        state = load_checkpoint(small_run["checkpoint"])
+        state.nets["stereo"].parameters()["enc1.w"].data.flat[3] = np.nan
+        ckpt = str(tmp_path / "nan.wck")
+        save_checkpoint(state, ckpt)
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", ckpt, "--data", small_run["data"]]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: nan\.wck: non-finite value at byte \d+\n", err), err
+
+    def test_translate_needs_only_a_finite_left(self, small_run, tmp_path, capsys):
+        scene = generate_scene(53, width=32, height=16, max_disp=8, max_flow=4)
+        bare = SceneSample(left=scene.left, right=None, next_left=None, disparity=None,
+                           flow=None, occlusion=None, domain="real")
+        path = str(tmp_path / "in.wad")
+        for sample, code in ((bare, 0), (with_value(bare, "left", np.inf), 3)):
+            with open(path, "wb") as fh:
+                fh.write(sample_to_bytes(sample))
+            capsys.readouterr()
+            assert main(["translate", "--checkpoint", small_run["checkpoint"], "--in", path,
+                         "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err == "error: in.wad: non-finite value at byte 27\n"
 
 
 def cropped(scene, height, width):

@@ -197,8 +197,7 @@ class TestGradFlow:
         fake, taps = gen.forward(left)
         gen_term, _ = L.adversarial_loss(disc.forward(left).detach(), disc.forward(fake))
         stages_d = stereo.forward(left, right)
-        warp_term = multiscale_warp_loss(taps, [t.detach() for t in taps], stages_d[-1],
-                                         sign=-1)
+        warp_term = multiscale_warp_loss(stages_d[-1], [(taps, [t.detach() for t in taps], -1)])
         stages_f = flow.forward(left, right)
         flow_term = (stages_f[-1] * stages_f[-1]).mean()
         backward(gen_term + warp_term + flow_term)

@@ -299,6 +299,21 @@ class TestDatasetFormat:
                                               f"channels, expected {expected}"):
             sample_from_bytes(buf, label="s.wad")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["left", "next_left", "disparity", "flow"])
+    def test_non_finite_value_refused_at_its_byte(self, field, value):
+        s = generate_scene(seed=5, width=32, height=16)
+        bad = getattr(s, field).copy()
+        bad.flat[37] = value
+        buf = sample_to_bytes(SceneSample(**{**vars(s), field: bad}))
+        # the field's record starts after the magic, the domain and bitmap bytes
+        # and the records before it; its payload after a 17-byte header
+        at = 10 + sum(17 + 4 * getattr(s, f).size
+                      for f in scenegen.FIELD_ORDER[:scenegen.FIELD_ORDER.index(field)])
+        with pytest.raises(FormatError, match=f"^s.wad: non-finite value at byte "
+                                              f"{at + 17 + 4 * 37}$"):
+            sample_from_bytes(buf, label="s.wad")
+
     @pytest.mark.parametrize("field, frames", [("left", 2), ("flow", 2), ("occlusion", 0)])
     def test_frame_count_other_than_one_refused(self, field, frames):
         s = generate_scene(seed=5, width=32, height=16)
@@ -309,7 +324,10 @@ class TestDatasetFormat:
             sample_from_bytes(buf, label="s.wad")
 
     @pytest.mark.parametrize("case, match", [
-        ("left_only", "sample_00001.wad: a dataset sample needs left, right and next_left"),
+        ("left_only", "sample_00001.wad: a dataset sample needs all six fields, "
+                      "right is missing"),
+        ("no_occlusion", "sample_00001.wad: a dataset sample needs all six fields, "
+                         "occlusion is missing"),
         ("mixed_extent", "sample_00001.wad: a field's extent is not the first sample's 64x32"),
         ("field_extent", "sample_00001.wad: a field's extent is not"),
         ("manifest_not_utf8", "manifest.txt: invalid UTF-8 at byte 7"),
@@ -320,6 +338,7 @@ class TestDatasetFormat:
         second = {
             "left_only": SceneSample(left=s.left, right=None, next_left=None, disparity=None,
                                      flow=None, occlusion=None, domain="real"),
+            "no_occlusion": SceneSample(**{**vars(s), "occlusion": None}),
             "mixed_extent": small,
             "field_extent": SceneSample(**{**vars(s), "disparity": small.disparity}),
         }.get(case, s)

@@ -188,6 +188,37 @@ class TestSchedule:
         assert records[1]["cycle"] == 0 and records[0]["cycle"] > 0
 
 
+class TestWarpCalls:
+    def test_one_call_per_field_and_one_resample_per_level(self, monkeypatch):
+        """Each step warps along each of its two fields in one call, which
+        resizes the field (and the occlusion mask) once per tap level: the
+        generator's taps sit at 1/2, 1/4 and 1/4 of the frame."""
+        syn = [generate_scene(i, width=32, height=16, max_disp=8, max_flow=4)
+               for i in range(2)]
+        real = [apply_domain_shift(generate_scene(10 + i, width=32, height=16, max_disp=8,
+                                                  max_flow=4), shift_preset("mild"), seed=i)
+                for i in range(2)]
+        state = T.init_state(tiny_config(k=2, batch_size=2))
+        seen = {"warp": [], "down": 0}
+        warp_loss, down = T.multiscale_warp_loss, K.downsample2
+
+        def counted_warp(field, warps, mask=None):
+            seen["warp"].append((field.shape[1], len(warps), mask is not None))
+            return warp_loss(field, warps, mask)
+
+        def counted_down(x):
+            seen["down"] += 1
+            return down(x)
+
+        monkeypatch.setattr(T, "multiscale_warp_loss", counted_warp)
+        monkeypatch.setattr(K, "downsample2", counted_down)
+        for kind in ("translation", "task"):
+            seen.update(warp=[], down=0)
+            T.train_step(state, T.make_batch(syn, [0, 1]), T.make_batch(real, [0, 1]))
+            assert seen["warp"] == [(1, 2, False), (2, 2, kind == "translation")], kind
+            assert seen["down"] == {"translation": 6, "task": 4}[kind]
+
+
 class TestDeterminism:
     def test_identical_runs(self, tmp_path):
         data = tiny_dataset(tmp_path)

@@ -153,7 +153,7 @@ class TestMultiscaleWarpLoss:
     def test_identical_taps_zero_field(self):
         taps = [rand_img((1, 2, 8, 8), seed=8), rand_img((1, 4, 4, 4), seed=9)]
         field = const_field((8, 8), 0.0)
-        loss = multiscale_warp_loss(taps, taps, field)
+        loss = multiscale_warp_loss(field, [(taps, taps, 1)])
         assert loss.item() == 0.0
 
     def test_single_tap_matches_hand_computation(self):
@@ -175,8 +175,7 @@ class TestMultiscaleWarpLoss:
                     acc += fx * src[0, 0, y, x0 + 1]
                 want[y, x] = acc
         expected = np.abs(want - dst[0, 0]).mean()
-        loss = multiscale_warp_loss([Tensor(src)], [Tensor(dst)],
-                                    const_field((4, 4), d))
+        loss = multiscale_warp_loss(const_field((4, 4), d), [([Tensor(src)], [Tensor(dst)], 1)])
         assert loss.item() == pytest.approx(expected, rel=1e-6)
 
     def test_zero_mask_annihilates(self):
@@ -184,7 +183,7 @@ class TestMultiscaleWarpLoss:
         taps_dst = [rand_img((1, 2, 8, 8), seed=12)]
         field = const_field((8, 8), 1.0)
         mask = Tensor(np.zeros((1, 1, 8, 8), dtype=np.float32))
-        loss = multiscale_warp_loss(taps_src, taps_dst, field, mask=mask)
+        loss = multiscale_warp_loss(field, [(taps_src, taps_dst, 1)], mask=mask)
         assert loss.item() == 0.0
 
     def test_mask_halved_per_tap(self):
@@ -202,14 +201,82 @@ class TestMultiscaleWarpLoss:
             while m.shape[2:] != a.shape[2:]:
                 m = K.downsample2(m)
             level = resize_field(field, a.shape[2:])
-            want += multiscale_warp_loss([a], [b], level, mask=m).item()
-        got = multiscale_warp_loss(src, dst, field, mask=mask).item()
+            want += multiscale_warp_loss(level, [([a], [b], 1)], mask=m).item()
+        got = multiscale_warp_loss(field, [(src, dst, 1)], mask=mask).item()
         assert got == pytest.approx(want / len(shapes), rel=1e-6)
 
     def test_length_mismatch(self):
         taps = [rand_img((1, 2, 8, 8))]
         with pytest.raises(UsageError):
-            multiscale_warp_loss(taps, taps * 2, const_field((8, 8), 0.0))
+            multiscale_warp_loss(const_field((8, 8), 0.0), [(taps, taps * 2, 1)])
+
+
+# the generator's taps: 1/2, 1/4 and 1/4 of the frame
+GEN_TAP_SHAPES = [(2, 4, 16, 32), (2, 8, 8, 16), (2, 8, 8, 16)]
+
+
+def gen_taps(seed):
+    return [Tensor(rand_img(s, seed=seed + i).data, requires_grad=True)
+            for i, s in enumerate(GEN_TAP_SHAPES)]
+
+
+class TestWarpsAlongOneField:
+    """Several warps along one field share each level's resized field and mask."""
+
+    @pytest.mark.parametrize("channels, masked", [(1, False), (2, True)])
+    def test_equals_sum_of_one_warp_calls(self, channels, masked):
+        rng = np.random.default_rng(40 + channels)
+        field = Tensor(rng.uniform(-3, 3, (2, channels, 32, 64)).astype(np.float32),
+                       requires_grad=True)
+        mask = (Tensor((rng.uniform(0, 1, (2, 1, 32, 64)) > 0.3).astype(np.float32))
+                if masked else None)
+        a, b = gen_taps(50), gen_taps(60)
+        warps = [(a, b, -1), (b, a, 1)]
+
+        def grads(loss):
+            backward(loss)
+            out = [t.grad.copy() for t in [field] + a + b]
+            for t in [field] + a + b:
+                t.grad = None
+            return loss.item(), out
+
+        joint, joint_grads = grads(multiscale_warp_loss(field, warps, mask=mask))
+        split, split_grads = grads(multiscale_warp_loss(field, warps[:1], mask=mask)
+                                   + multiscale_warp_loss(field, warps[1:], mask=mask))
+        assert joint == split
+        for got, want in zip(joint_grads, split_grads):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_resamples_once_per_level(self, monkeypatch, count, masked):
+        calls = []
+        real = K.downsample2
+        monkeypatch.setattr(K, "downsample2", lambda x: calls.append(x.shape) or real(x))
+        taps = gen_taps(70)
+        mask = Tensor(np.ones((2, 1, 32, 64), dtype=np.float32)) if masked else None
+        multiscale_warp_loss(const_field((32, 64), (1.0, -0.5), batch=2),
+                             [(taps, taps, (-1) ** i) for i in range(count)], mask=mask)
+        # the flow field, then the mask, once at 1/2 and once at 1/4
+        want = [(2, 2, 32, 64), (2, 1, 32, 64), (2, 2, 16, 32), (2, 1, 16, 32)]
+        assert calls == (want if masked else want[::2])
+
+    @pytest.mark.parametrize("case", ["no_warps", "no_taps", "counts_differ_across_warps"])
+    def test_tap_counts_refused(self, case):
+        taps = gen_taps(90)
+        warps = {"no_warps": [], "no_taps": [([], [], 1)],
+                 "counts_differ_across_warps": [(taps, taps, 1), (taps[:2], taps[:2], -1)]}[case]
+        with pytest.raises(UsageError):
+            multiscale_warp_loss(const_field((32, 64), 1.0, batch=2), warps)
+
+    @pytest.mark.parametrize("case", ["extent_differs_across_warps", "src_dst_differ"])
+    def test_tap_extent_refused(self, case):
+        taps = gen_taps(100)
+        odd = taps[:1] + [rand_img((2, 8, 4, 8))] + taps[2:]
+        warps = {"extent_differs_across_warps": [(taps, taps, 1), (odd, odd, -1)],
+                 "src_dst_differ": [(taps, odd, 1)]}[case]
+        with pytest.raises(ShapeError):
+            multiscale_warp_loss(const_field((32, 64), 1.0, batch=2), warps)
 
 
 class TestStagewiseWarpLoss:
