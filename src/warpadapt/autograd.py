@@ -3,7 +3,8 @@
 Every tensor is a dense (batch, channel, height, width) float array. Tensors
 produced by an operation remember their inputs, forming a DAG; ``backward``
 walks it once in reverse topological order and accumulates gradients on every
-reachable leaf that requires them. Arithmetic lives here; the spatial and
+reachable leaf that requires them. The walk releases the graph as it goes, so
+a graph can be walked only once. Arithmetic lives here; the spatial and
 nonlinear kernels live in ``kernels``.
 """
 
@@ -224,7 +225,8 @@ def topo_order(root: Tensor) -> list:
     """Interior nodes reachable from root, parents before children.
 
     Traversal follows parent declaration order, so the schedule is fixed by
-    graph construction order. Each node appears exactly once.
+    graph construction order. Each node appears exactly once. Reaching a node
+    that ``backward`` has already walked raises UsageError.
     """
     order = []
     state: dict[int, int] = {}
@@ -233,6 +235,9 @@ def topo_order(root: Tensor) -> list:
         node = stack[-1]
         st = state.get(id(node), 0)
         if st == 0:
+            if node._parents is _WALKED:
+                raise UsageError("backward reached a graph that was already walked; "
+                                 "a graph can be walked only once")
             state[id(node)] = 1
             for p in reversed(node._parents):
                 if p._parents and state.get(id(p), 0) == 0:
@@ -247,20 +252,31 @@ def topo_order(root: Tensor) -> list:
     return order
 
 
+# ``_parents`` of a node that ``backward`` has walked. It is truthy, so
+# ``topo_order`` still treats the node as interior and refuses it.
+_WALKED = (None,)
+
+
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every reachable tensor that requires it."""
+    """Populate ``grad`` on every reachable leaf that requires it; the walked
+    graph is released and cannot be walked again."""
     if loss.shape != SCALAR_SHAPE:
         raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         return
     order = topo_order(loss)
     loss.grad = np.ones(SCALAR_SHAPE, dtype=loss.dtype)
-    for node in reversed(order):
-        g = node.grad
-        if g is None or node._backward is None:
+    # children come off the end before their parents, and each node drops its
+    # gradient, closure and parent links once read, so an interior activation
+    # that only the graph holds dies when its last child has been walked
+    while order:
+        node = order.pop()
+        g, fn, parents = node.grad, node._backward, node._parents
+        node.grad = node._backward = None
+        node._parents = _WALKED
+        if g is None or fn is None:
             continue
-        grads = node._backward(g)
-        for parent, pg in zip(node._parents, grads):
+        for parent, pg in zip(parents, fn(g)):
             if pg is None or not parent.requires_grad:
                 continue
             if parent.grad is None:

@@ -291,6 +291,9 @@ def sample_from_bytes(buf: bytes, label: str = "sample") -> SceneSample:
     if tag not in DOMAIN_NAMES:
         raise FormatError(f"{label}: unknown domain tag {tag} at byte {r.off - 1}")
     bitmap = r.u8()
+    if bitmap >> len(FIELD_CHANNELS):
+        raise FormatError(f"{label}: field-presence bitmap {bitmap} at byte {r.off - 1} "
+                          f"sets bits above bit {len(FIELD_CHANNELS) - 1}")
     values = {}
     for i, (name, channels) in enumerate(FIELD_CHANNELS.items()):
         at = r.off
@@ -322,8 +325,9 @@ def write_dataset(samples, out_dir: str) -> list[str]:
 
 
 def read_dataset(data_dir: str) -> list[SceneSample]:
-    """The samples ``manifest.txt`` lists. Each must hold all six fields, and
-    every field must have the first sample's extent; else FormatError."""
+    """The samples ``manifest.txt`` lists. Each line must name a plain file in
+    ``data_dir``, each sample must hold all six fields, and every field must
+    have the first sample's extent; else FormatError."""
     manifest = os.path.join(data_dir, "manifest.txt")
     if not os.path.exists(manifest):
         raise FormatError(f"no manifest.txt in {data_dir}")
@@ -331,7 +335,13 @@ def read_dataset(data_dir: str) -> list[SceneSample]:
         raw = fh.read()
     lines = Reader(raw, "manifest.txt").text(len(raw)).splitlines()
     samples = []
-    for name in [line.strip() for line in lines if line.strip()]:
+    for number, line in enumerate(lines, 1):
+        name = line.strip()
+        if not name:
+            continue
+        if name in (".", "..") or {"\0", "/", os.sep} & set(name):
+            raise FormatError(f"manifest.txt: line {number} names {name!r}, which is not "
+                              "a plain file name in the data directory")
         with open(os.path.join(data_dir, name), "rb") as fh:
             sample = sample_from_bytes(fh.read(), label=name)
         arrays = [getattr(sample, f) for f in FIELD_ORDER]

@@ -1,7 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from warpadapt import autograd as ag
+from warpadapt import kernels as K
 from warpadapt.autograd import Tensor, backward, concat, grad_check, no_grad, split, topo_order
 from warpadapt.errors import ShapeError, UsageError
 
@@ -70,6 +73,105 @@ class TestBackward:
         # d/dx (x+y)^2 + x^2 = 2(x+y) + 2x = 8; d/dy = 2(x+y) = 6
         assert np.allclose(x.grad, 8.0)
         assert np.allclose(y.grad, 6.0)
+
+
+def retained_backward(loss):
+    """The walk that keeps the graph: the reference for the releasing one."""
+    order = topo_order(loss)
+    loss.grad = np.ones(loss.shape, dtype=loss.dtype)
+    for node in reversed(order):
+        if node.grad is None:
+            continue
+        for parent, pg in zip(node._parents, node._backward(node.grad)):
+            if pg is None or not parent.requires_grad:
+                continue
+            if parent.grad is None:
+                parent.grad = np.array(pg, dtype=parent.dtype, copy=True)
+            else:
+                parent.grad += pg
+
+
+def layer_loss(x, w, b):
+    """Conv, activation, a diamond, a split and a concat: one scalar."""
+    h = K.leaky_relu(K.conv2d(x, w, b, stride=2))
+    top, bottom = split(ag.mul(h, h), 2)
+    return ag.add(concat([bottom, top], axis=0), h).mean()
+
+
+def layer_leaves():
+    rng = np.random.default_rng(5)
+    return [Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+            for shape in ((2, 3, 8, 8), (4, 3, 3, 3), (1, 4, 1, 1))]
+
+
+class TestRelease:
+    """``backward`` frees the graph as it walks it, and refuses a graph it
+    has walked."""
+
+    def test_second_backward_refused(self):
+        x = make_tensor((1, 1, 1, 1), [3.0], requires_grad=True)
+        loss = ag.mul(x, x).mean()
+        backward(loss)
+        with pytest.raises(UsageError, match="already walked"):
+            backward(loss)
+        assert np.array_equal(x.grad, [[[[6.0]]]])
+
+    def test_loss_on_a_walked_interior_refused(self):
+        x = make_tensor((1, 1, 1, 1), [3.0], requires_grad=True)
+        sq = ag.mul(x, x)
+        backward(sq.mean())
+        with pytest.raises(UsageError, match="already walked"):
+            backward(ag.mul_scalar(sq, 2.0).mean())
+
+    def test_leaves_stay_reusable(self):
+        x = make_tensor((1, 1, 1, 1), [3.0], requires_grad=True)
+        backward(ag.mul(x, x).mean())
+        backward(ag.mul_scalar(x, 2.0).mean())
+        assert np.array_equal(x.grad, [[[[8.0]]]])
+
+    def test_interior_activation_freed(self):
+        def build(x):
+            sq = ag.mul(x, x)
+            return ag.mul(sq, sq).mean(), weakref.ref(sq.data)
+
+        x = make_tensor((1, 1, 2, 2), [1, 2, 3, 4], requires_grad=True)
+        loss, activation = build(x)
+        assert activation() is not None
+        backward(loss)
+        assert activation() is None
+        assert loss.item() == 88.5
+
+    def test_activation_freed_once_its_last_child_is_walked(self):
+        x = make_tensor((1, 1, 2, 2), [1, 2, 3, 4], requires_grad=True)
+        first = ag.mul(x, x)
+        second = ag.mul(first, first)
+        activation = weakref.ref(second.data)
+        loss = second.mean()
+        del second
+        seen = []
+        walk_first = first._backward
+        first._backward = lambda g: (seen.append(activation()), walk_first(g))[1]
+        backward(loss)
+        assert seen == [None]
+
+    def test_leaf_gradients_match_the_retained_walk(self):
+        released, retained = layer_leaves(), layer_leaves()
+        backward(layer_loss(*released))
+        retained_backward(layer_loss(*retained))
+        for a, b in zip(released, retained):
+            assert a.grad.dtype == b.grad.dtype
+            assert np.array_equal(a.grad, b.grad)
+
+    def test_grad_check_matches_the_retained_walk(self, monkeypatch):
+        x, w, b = layer_leaves()
+
+        def f(t):
+            return layer_loss(t, w, b)
+
+        err = grad_check(f, x)
+        assert err < 1e-6
+        monkeypatch.setattr(ag, "backward", retained_backward)
+        assert grad_check(f, x) == err
 
 
 class TestNoGrad:

@@ -275,14 +275,24 @@ def two_frame_left(scene):
 
 def edit_dataset(src, dst, case):
     """A copy of dataset ``src`` at ``dst``, with a manifest that is not UTF-8
-    or whose first training sample is a left-only, a larger, a 1-channel or a
-    two-frame sample."""
+    or names a file with a NUL byte, or whose first training sample is a
+    left-only, a larger, a 1-channel or a two-frame sample, or sets the
+    undefined high bits of its field-presence bitmap."""
     shutil.copytree(src, dst)
     manifest = os.path.join(dst, "manifest.txt")
     with open(manifest, "rb") as fh:
         names = fh.read().splitlines()
     if case == "manifest_not_utf8":
         names[0] = b"sample_\xff.wad"
+    elif case == "manifest_nul_byte":
+        names[0] += b"\0"
+    elif case == "bitmap_high_bits":
+        path = os.path.join(dst, names[0].decode())
+        with open(path, "rb") as fh:
+            raw = bytearray(fh.read())
+        raw[9] |= 0xC0
+        with open(path, "wb") as fh:
+            fh.write(raw)
     else:
         if case in ("one_channel_frames", "two_frame_sample"):
             # the dataset's own extent, so only the channel or frame count is wrong
@@ -310,6 +320,8 @@ class TestDataErrors:
                                       "eval_missing_config_key", "eval_version_2_checkpoint",
                                       "eval_version_3_checkpoint",
                                       "eval_record_name_not_utf8", "eval_manifest_not_utf8",
+                                      "eval_manifest_nul_byte", "train_manifest_nul_byte",
+                                      "eval_bitmap_high_bits",
                                       "train_left_only_sample", "train_mixed_extents",
                                       "train_one_channel_frames",
                                       "translate_one_channel_sample",
@@ -336,7 +348,9 @@ class TestDataErrors:
             ckpt = str(tmp_path / "edited.wck")
             with open(ckpt, "wb") as fh:
                 fh.write(edited[case])
-        if case in ("eval_manifest_not_utf8", "train_left_only_sample", "train_mixed_extents",
+        if case in ("eval_manifest_not_utf8", "eval_manifest_nul_byte",
+                    "train_manifest_nul_byte", "eval_bitmap_high_bits",
+                    "train_left_only_sample", "train_mixed_extents",
                     "train_one_channel_frames", "train_two_frame_sample",
                     "eval_two_frame_sample"):
             data = str(tmp_path / "data")

@@ -271,6 +271,15 @@ class TestDatasetFormat:
         with pytest.raises(FormatError, match="magic"):
             sample_from_bytes(buf)
 
+    @pytest.mark.parametrize("bitmap", [64, 128, 255])
+    def test_undefined_bitmap_bits_refused_at_their_byte(self, bitmap):
+        buf = bytearray(sample_to_bytes(generate_scene(seed=1, width=64, height=32)))
+        assert buf[9] == 63
+        buf[9] = bitmap
+        with pytest.raises(FormatError, match=f"s.wad: field-presence bitmap {bitmap} at "
+                                              "byte 9 sets bits above bit 5"):
+            sample_from_bytes(bytes(buf), label="s.wad")
+
     def test_mixed_domain_partition(self, tmp_path):
         syn = [generate_scene(seed=s, width=64, height=32) for s in range(2)]
         real = [apply_domain_shift(s, shift_preset("mild"), seed=5) for s in syn]
@@ -331,6 +340,11 @@ class TestDatasetFormat:
         ("mixed_extent", "sample_00001.wad: a field's extent is not the first sample's 64x32"),
         ("field_extent", "sample_00001.wad: a field's extent is not"),
         ("manifest_not_utf8", "manifest.txt: invalid UTF-8 at byte 7"),
+        ("manifest_nul", "manifest.txt: line 2 names 'sample_00001.wad\\x00', which is not "
+                         "a plain file name in the data directory"),
+        ("manifest_subdir", "manifest.txt: line 2 names 'sub/sample_00001.wad', which is not"),
+        ("manifest_parent", "manifest.txt: line 2 names '..', which is not"),
+        ("manifest_self", "manifest.txt: line 2 names '.', which is not"),
     ])
     def test_malformed_dataset_refused(self, tmp_path, case, match):
         s = generate_scene(seed=3, width=64, height=32)
@@ -345,5 +359,12 @@ class TestDatasetFormat:
         write_dataset([s, second], str(tmp_path))
         if case == "manifest_not_utf8":
             (tmp_path / "manifest.txt").write_bytes(b"sample_\xff.wad\n")
+        second_name = {"manifest_nul": b"sample_00001.wad\0",
+                       "manifest_subdir": b"sub/sample_00001.wad",
+                       "manifest_parent": b"..", "manifest_self": b"."}.get(case)
+        if second_name is not None:
+            (tmp_path / "sub").mkdir()
+            (tmp_path / "sub" / "sample_00001.wad").write_bytes(sample_to_bytes(s))
+            (tmp_path / "manifest.txt").write_bytes(b"sample_00000.wad\n" + second_name + b"\n")
         with pytest.raises(FormatError, match=re.escape(match)):
             read_dataset(str(tmp_path))
