@@ -9,6 +9,7 @@ interpolation cell boundaries) so the comparison is well posed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -47,6 +48,21 @@ def _rand_away_from(rng, shape, gap, *kinks):
     return Tensor(v.astype(np.float64))
 
 
+def _clear_of_kink(seed, tag, layer, wshape, cout, margin=3e-3):
+    """Input in [-2, 2], weight and bias for ``layer``, redrawn on stream
+    [seed, 2, tag, sub] until every output of the layer without its activation
+    is ``margin`` away from 0, further than a 1e-3 step of one input or weight
+    element moves it."""
+    for sub in range(256):
+        r = np.random.default_rng([seed, 2, tag, sub])
+        x, w = _rand(r, (2, 3, 6, 8)), _rand(r, wshape, lo=-0.7, hi=0.7)
+        b = _rand(r, (1, cout, 1, 1))
+        with no_grad():
+            if np.abs(layer(x, w, b).data).min() > margin:
+                return x, w, b
+    raise AssertionError("no kink-free layer input found")
+
+
 def kernel_cases(seed: int = 0) -> Iterator[tuple[str, Callable, Tensor, float]]:
     """Yield (label, scalar-valued f, input tensor, threshold) per kernel/input."""
     rng = np.random.default_rng(seed)
@@ -66,7 +82,6 @@ def kernel_cases(seed: int = 0) -> Iterator[tuple[str, Callable, Tensor, float]]
 
     x_off0 = _rand_away_from(rng, shp, 0.05, 0.0)
     yield "abs", lambda t: K.absolute(t).mean(), x_off0, KINKED_TOL
-    yield "leaky_relu", lambda t: K.leaky_relu(t, 0.2).mean(), x_off0, KINKED_TOL
     yield "square", lambda t: K.square(t).mean(), a, SMOOTH_TOL
     pos = _rand(rng, shp, lo=0.1, hi=2.0)
     yield "sqrt", lambda t: K.sqrt(t).mean(), pos, SMOOTH_TOL
@@ -110,6 +125,17 @@ def kernel_cases(seed: int = 0) -> Iterator[tuple[str, Callable, Tensor, float]]
            wt, SMOOTH_TOL)
     yield ("conv_transpose2d/b", lambda t: K.square(K.conv_transpose2d(x, wt, t)).mean(),
            bt, SMOOTH_TOL)
+
+    # layers ending in a LeakyReLU, on inputs whose pre-activations clear its kink
+    layers = (("conv2d/s1", partial(K.conv2d, stride=1), (4, 3, 3, 3), 4),
+              ("conv2d/s2", partial(K.conv2d, stride=2), (4, 3, 3, 3), 4),
+              ("conv_transpose2d", K.conv_transpose2d, (3, 2, 4, 4), 2))
+    for tag, (name, f, wshape, cout) in enumerate(layers):
+        lx, lw, lb = _clear_of_kink(seed, tag, f, wshape, cout)
+        yield (f"{name}/leaky/x", lambda t, f=f, w=lw, b=lb: K.square(f(t, w, b, slope=0.2)).mean(),
+               lx, KINKED_TOL)
+        yield (f"{name}/leaky/w", lambda t, f=f, x=lx, b=lb: K.square(f(x, t, b, slope=0.2)).mean(),
+               lw, KINKED_TOL)
 
     yield "gaussian_blur", lambda t: K.square(K.gaussian_blur(t)).mean(), x, SMOOTH_TOL
     yield "upsample2", lambda t: K.square(K.upsample2(t)).mean(), x, SMOOTH_TOL
@@ -165,13 +191,13 @@ def _offset(rng, shape, lo, hi):
 
 def _extractor_preact_margin(extractor, x) -> float:
     """Smallest |pre-activation| across the extractor stack for input x."""
+    margin = np.inf
     with no_grad():
-        p1 = extractor.conv("c1", x)
-        t1 = K.leaky_relu(p1, 0.1)
-        p2 = extractor.conv("c2", t1, stride=2)
-        t2 = K.leaky_relu(p2, 0.1)
-        p3 = extractor.conv("c3", t2, stride=2)
-    return min(np.abs(p.data).min() for p in (p1, p2, p3))
+        for name, stride in (("c1", 1), ("c2", 2), ("c3", 2)):
+            pre = extractor.conv(name, x, stride=stride)
+            margin = min(margin, np.abs(pre.data).min())
+            x = extractor.conv(name, x, stride=stride, slope=0.1)
+    return margin
 
 
 def loss_cases(seed: int = 0) -> Iterator[tuple[str, Callable, Tensor, float]]:

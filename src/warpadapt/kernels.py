@@ -16,8 +16,12 @@ pass) computes its s x s output phases, each a correlation with a sub-kernel
 of the flipped taps, in one gather, and conv_transpose2d's backward pass
 gathers over its gradient's s x s phases with the kernel's taps regrouped.
 A tap that sums over a single channel is a broadcast outer product, not a
-GEMM. The Gaussian blur under SSIM is a product with a cached banded matrix
-per axis.
+GEMM. Either convolution may end in a LeakyReLU (``slope``), applied in place
+on the biased output it allocates, so a layer is one tape node holding one
+activation; its backward pass reads the pre-activation's sign from the
+output's, which agree for a slope in (0, 1], and feeds the masked gradient to
+the bias, weight and input gradients. The Gaussian blur under SSIM is a
+product with a cached banded matrix per axis.
 grid_sample reads its input at each pixel moved by a (b, 1 or 2, h, w) offset
 in pixels; a 1-channel offset moves along x alone and reads two taps, not four.
 A read past an edge indexes a bordered copy, never a mask: a zero border for
@@ -36,14 +40,6 @@ from .errors import ShapeError, UsageError
 
 
 # -- pointwise ----------------------------------------------------------------
-
-def leaky_relu(x: Tensor, slope: float = 0.1) -> Tensor:
-    """x where x > 0, else slope * x; computed as max(x, slope * x), which is
-    the same bits for 0 < slope <= 1 (at 0, inf * 0 would give nan)."""
-    s = np.asarray(slope, x.dtype.type)
-    out = np.maximum(x.data, x.data * s)
-    return result(out, (x,), lambda g: (np.where(x.data > 0, g, g * s),))
-
 
 def sigmoid(x: Tensor) -> Tensor:
     s = _sigmoid(x.data)
@@ -161,6 +157,22 @@ TILE_ALIGN = 64
 def _batch_major(v: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """(c, b, h, w) -> contiguous (b, c, h, w), plus a (1, c, 1, 1) bias."""
     return np.add(v.transpose(1, 0, 2, 3), bias, order="C")
+
+
+def _leaky(z: np.ndarray, slope: float | None) -> np.ndarray:
+    """LeakyReLU of a layer's own output z, in place: max(z, slope * z), the
+    bits of z where z > 0, else slope * z, for 0 < slope <= 1."""
+    if slope is not None:
+        np.maximum(z, z * np.asarray(slope, z.dtype.type), out=z)
+    return z
+
+
+def _leaky_grad(g: np.ndarray, out: np.ndarray, slope: float | None) -> np.ndarray:
+    """The gradient at the pre-activation, read from the activation ``out``:
+    out > 0 exactly where the pre-activation is, for slope > 0."""
+    if slope is None:
+        return g
+    return np.where(out > 0, g, g * np.asarray(slope, out.dtype.type))
 
 
 def _tiles(span: int, col_bytes: int) -> list:
@@ -299,16 +311,23 @@ def _space_to_depth(v: np.ndarray, s: int, pad: int, hq: int, wq: int) -> np.nda
     return out.reshape(s * s * c, bs, hq, wq)
 
 
-def _check_stride_pad(stride: int, pad: int) -> None:
+def _check_layer(stride: int, pad: int, slope: float | None) -> None:
     if stride not in (1, 2):
         raise UsageError(f"stride must be 1 or 2, got {stride}")
     if pad < 0:
         raise UsageError(f"pad must be >= 0, got {pad}")
+    if slope is not None and not 0 < slope <= 1:
+        raise UsageError(f"slope must be in (0, 1], got {slope}")
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Tensor:
-    """2-D convolution, zero padding. Weight (cout, cin, kh, kw), bias (1, cout, 1, 1)."""
-    _check_stride_pad(stride, pad)
+def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1,
+           slope: float | None = None) -> Tensor:
+    """2-D convolution, zero padding. Weight (cout, cin, kh, kw), bias (1, cout, 1, 1).
+
+    With a ``slope`` in (0, 1] the layer ends in a LeakyReLU, applied in place
+    on the biased output, so the tape holds one node and one activation.
+    """
+    _check_layer(stride, pad, slope)
     bs, cin, h, wd = x.shape
     cout, cin_w, kh, kw = w.shape
     if cin != cin_w:
@@ -320,10 +339,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Te
     if ho <= 0 or wo <= 0:
         raise ShapeError(f"kernel {kh}x{kw} too large for input {h}x{wd} with pad {pad}")
     hq, wq = ho + (kh - 1) // stride, wo + (kw - 1) // stride
-    out = _batch_major(_gather(_space_to_depth(x.data, stride, pad, hq, wq), kh, kw, stride,
-                               w=w.data)[0], b.data)
+    out = _leaky(_batch_major(_gather(_space_to_depth(x.data, stride, pad, hq, wq), kh, kw,
+                                      stride, w=w.data)[0], b.data), slope)
 
     def backward(g):
+        g = _leaky_grad(g, out, slope)
         db = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
         # the input's phases are rebuilt here rather than held on the tape
         dw = (_gather(_space_to_depth(x.data, stride, pad, hq, wq), kh, kw, stride, g=g)[1]
@@ -334,9 +354,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, pad: int = 1) -> Te
     return result(out, (x, w, b), backward)
 
 
-def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int = 1) -> Tensor:
-    """Transposed convolution. Weight (cin, cout, kh, kw); output grows by ``stride``."""
-    _check_stride_pad(stride, pad)
+def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int = 1,
+                     slope: float | None = None) -> Tensor:
+    """Transposed convolution. Weight (cin, cout, kh, kw); output grows by
+    ``stride``. ``slope`` ends the layer in a LeakyReLU, as in ``conv2d``."""
+    _check_layer(stride, pad, slope)
     bs, cin, h, wd = x.shape
     cin_w, cout, kh, kw = w.shape
     if cin != cin_w:
@@ -349,9 +371,10 @@ def conv_transpose2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 2, pad: int 
         raise ShapeError("degenerate transposed-conv output")
     # read as a conv2d weight, w maps cout channels to cin: the forward pass is
     # the adjoint of that stride-s convolution, cropped by the padding
-    out = _correlate_adjoint(x.data, w.data, stride, pad, ho, wo, b.data)
+    out = _leaky(_correlate_adjoint(x.data, w.data, stride, pad, ho, wo, b.data), slope)
 
     def backward(g):
+        g = _leaky_grad(g, out, slope)
         db = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
         dx = dw = None
         if x.requires_grad or w.requires_grad:

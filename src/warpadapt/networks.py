@@ -33,13 +33,14 @@ class Network:
             value = self._rng.uniform(-bound, bound, size=size).astype(np.float32)
             self.params[name + suffix] = Tensor(value, requires_grad=True)
 
-    def conv(self, name: str, x: Tensor, stride: int = 1) -> Tensor:
+    def conv(self, name: str, x: Tensor, stride: int = 1, slope: float | None = None) -> Tensor:
+        """The layer's convolution, ending in a LeakyReLU of ``slope`` if given."""
         return K.conv2d(x, self.params[name + ".w"], self.params[name + ".b"],
-                        stride=stride, pad=self.params[name + ".w"].shape[2] // 2)
+                        stride=stride, pad=self.params[name + ".w"].shape[2] // 2, slope=slope)
 
-    def deconv(self, name: str, x: Tensor) -> Tensor:
+    def deconv(self, name: str, x: Tensor, slope: float | None = None) -> Tensor:
         return K.conv_transpose2d(x, self.params[name + ".w"], self.params[name + ".b"],
-                                  stride=2, pad=1)
+                                  stride=2, pad=1, slope=slope)
 
     def parameters(self) -> dict[str, Tensor]:
         return self.params
@@ -64,16 +65,16 @@ class Generator(Network):
         self._layer("dec2", cb, 3, 4, transposed=True)
 
     def forward(self, x: Tensor, need_output: bool = True):
-        e1 = K.leaky_relu(self.conv("enc1", x, stride=2), 0.1)
-        e2 = K.leaky_relu(self.conv("enc2", e1, stride=2), 0.1)
+        e1 = self.conv("enc1", x, stride=2, slope=0.1)
+        e2 = self.conv("enc2", e1, stride=2, slope=0.1)
         r = e2
         for i in range(3):
-            h = K.leaky_relu(self.conv(f"res{i}a", r), 0.1)
+            h = self.conv(f"res{i}a", r, slope=0.1)
             r = r + self.conv(f"res{i}b", h)
         taps = [e1, e2, r]
         if not need_output:
             return None, taps
-        d1 = K.leaky_relu(self.deconv("dec1", r), 0.1)
+        d1 = self.deconv("dec1", r, slope=0.1)
         out = (K.tanh(self.deconv("dec2", d1)) + 1.0) * 0.5
         return out, taps
 
@@ -93,9 +94,9 @@ class Discriminator(Network):
         self._layer("c4", 4 * cb, 1)
 
     def forward(self, x: Tensor) -> Tensor:
-        h = K.leaky_relu(self.conv("c1", x, stride=2), 0.2)
-        h = K.leaky_relu(self.conv("c2", h, stride=2), 0.2)
-        h = K.leaky_relu(self.conv("c3", h, stride=2), 0.2)
+        h = self.conv("c1", x, stride=2, slope=0.2)
+        h = self.conv("c2", h, stride=2, slope=0.2)
+        h = self.conv("c3", h, stride=2, slope=0.2)
         return K.sigmoid(self.conv("c4", h, stride=2))
 
 
@@ -119,8 +120,8 @@ class _PyramidNet(Network):
     def _encode(self, img_a: Tensor, img_b: Tensor):
         """Both frames in one pass: frame a's 1/2- and 1/4-scale features, then
         each frame's matching features for the correlation."""
-        f1 = K.leaky_relu(self.conv("enc1", concat([img_a, img_b], axis=0), stride=2), 0.1)
-        f2 = K.leaky_relu(self.conv("enc2", f1, stride=2), 0.1)
+        f1 = self.conv("enc1", concat([img_a, img_b], axis=0), stride=2, slope=0.1)
+        f2 = self.conv("enc2", f1, stride=2, slope=0.1)
         return (split(f1, 2)[0], split(f2, 2)[0], *split(self._match_features(f2), 2))
 
     @staticmethod
@@ -131,13 +132,13 @@ class _PyramidNet(Network):
         return f / K.sqrt(K.square(f).mean(axis=1) + 1e-6)
 
     def _decode(self, corr: Tensor, f2: Tensor, f1: Tensor, img: Tensor, rectify):
-        tq = K.leaky_relu(self.conv("dq", concat([corr, f2])), 0.1)
+        tq = self.conv("dq", concat([corr, f2]), slope=0.1)
         s0 = rectify(self.conv("pq", tq))
-        uh = K.leaky_relu(self.deconv("uh", tq), 0.1)
-        th = K.leaky_relu(self.conv("dh", concat([uh, f1, resize_field(s0, uh.shape[2:])])), 0.1)
+        uh = self.deconv("uh", tq, slope=0.1)
+        th = self.conv("dh", concat([uh, f1, resize_field(s0, uh.shape[2:])]), slope=0.1)
         s1 = rectify(self.conv("ph", th))
-        uf = K.leaky_relu(self.deconv("uf", th), 0.1)
-        tf_ = K.leaky_relu(self.conv("df", concat([uf, img, resize_field(s1, uf.shape[2:])])), 0.1)
+        uf = self.deconv("uf", th, slope=0.1)
+        tf_ = self.conv("df", concat([uf, img, resize_field(s1, uf.shape[2:])]), slope=0.1)
         s2 = rectify(self.conv("pf", tf_))
         return [s0, s1, s2]
 
@@ -183,7 +184,7 @@ class Extractor(Network):
             p.requires_grad = False
 
     def features(self, image: Tensor):
-        t1 = K.leaky_relu(self.conv("c1", image), 0.1)
-        t2 = K.leaky_relu(self.conv("c2", t1, stride=2), 0.1)
-        t3 = K.leaky_relu(self.conv("c3", t2, stride=2), 0.1)
+        t1 = self.conv("c1", image, slope=0.1)
+        t2 = self.conv("c2", t1, stride=2, slope=0.1)
+        t3 = self.conv("c3", t2, stride=2, slope=0.1)
         return [t1, t2, t3]

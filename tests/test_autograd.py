@@ -92,8 +92,8 @@ def retained_backward(loss):
 
 
 def layer_loss(x, w, b):
-    """Conv, activation, a diamond, a split and a concat: one scalar."""
-    h = K.leaky_relu(K.conv2d(x, w, b, stride=2))
+    """A LeakyReLU conv layer, a diamond, a split and a concat: one scalar."""
+    h = K.conv2d(x, w, b, stride=2, slope=0.1)
     top, bottom = split(ag.mul(h, h), 2)
     return ag.add(concat([bottom, top], axis=0), h).mean()
 

@@ -301,21 +301,6 @@ class TestPointwise:
         assert np.allclose(K.sigmoid(x).data, 1 / (1 + np.exp(-x.data)))
         assert np.allclose(K.tanh(x).data, np.tanh(x.data))
         assert np.allclose(K.softplus(x).data, np.log1p(np.exp(x.data)))
-        assert np.allclose(K.leaky_relu(x, 0.2).data,
-                           np.where(x.data > 0, x.data, 0.2 * x.data))
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("slope", [0.1, 0.2, 1.0])
-    def test_leaky_relu_bits_match_where_form(self, dtype, slope):
-        rng = np.random.default_rng(6)
-        special = [0.0, -0.0, np.inf, -np.inf, np.nan]
-        v = np.concatenate([rng.standard_normal(59), special]).astype(dtype).reshape(1, 1, 8, 8)
-        s = np.asarray(slope, dtype)
-        want = np.where(v > 0, v, v * s)
-        got = K.leaky_relu(Tensor(v), slope).data
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want, equal_nan=True)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_clamp(self):
         x = make_tensor((1, 1, 1, 3), [-2.0, 0.5, 2.0])
@@ -421,6 +406,66 @@ class TestConv:
                    else (K.conv2d, rand((3, 2, 1, 1))))
         with pytest.raises(UsageError, match="stride must be 1 or 2|pad must be >= 0"):
             conv(rand((1, 2, 6, 8)), w, rand((1, 3, 1, 1)), stride=stride, pad=pad)
+
+
+def leaky_relu(x, slope):
+    """The activation as a node of its own, in the where form: x where x > 0,
+    else slope * x, with the matching gradient."""
+    s = np.asarray(slope, x.dtype.type)
+    return result(np.where(x.data > 0, x.data, x.data * s), (x,),
+                  lambda g: (np.where(x.data > 0, g, g * s),))
+
+
+LEAKY_LAYERS = {
+    "conv/s1": (K.conv2d, (4, 3, 3, 3), 4, {"stride": 1}),
+    "conv/s2": (K.conv2d, (4, 3, 3, 3), 4, {"stride": 2}),
+    "convT": (K.conv_transpose2d, (3, 2, 4, 4), 2, {}),
+}
+
+
+class TestLeakyLayer:
+    """A convolution's ``slope`` fuses its LeakyReLU into its own node: the
+    bits of the convolution followed by the activation node, forward and back."""
+
+    @staticmethod
+    def leaves(layer, dtype):
+        _, wshape, cout, _ = LEAKY_LAYERS[layer]
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((2, 3, 7, 9)).astype(dtype)
+        # a zero input block under a zero bias channel puts pre-activations at
+        # exactly 0, which both forms send down the slope branch
+        x[:, :, :4, :5] = 0
+        b = rng.standard_normal((1, cout, 1, 1)).astype(dtype)
+        b[0, 0] = 0
+        return [Tensor(v, requires_grad=True)
+                for v in (x, rng.standard_normal(wshape).astype(dtype), b)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layer", sorted(LEAKY_LAYERS))
+    @pytest.mark.parametrize("slope", [0.1, 0.2, 1.0])
+    def test_bits_match_conv_then_activation(self, dtype, layer, slope):
+        conv, _, _, kw = LEAKY_LAYERS[layer]
+        fused, plain = self.leaves(layer, dtype), self.leaves(layer, dtype)
+        y = conv(*fused, slope=slope, **kw)
+        z = conv(*plain, **kw)
+        assert (z.data == 0).any() and (z.data < 0).any()
+        s = np.asarray(slope, dtype)
+        assert y.data.dtype == dtype
+        assert np.array_equal(y.data, np.maximum(z.data, z.data * s))
+        assert np.array_equal(np.signbit(y.data), np.signbit(np.maximum(z.data, z.data * s)))
+        dy = Tensor(np.random.default_rng(18).standard_normal(y.shape).astype(dtype))
+        backward((y * dy).sum())
+        backward((leaky_relu(z, slope) * dy).sum())
+        for a, b in zip(fused, plain):
+            assert a.grad.dtype == b.grad.dtype == dtype
+            assert np.array_equal(a.grad, b.grad)
+
+    @pytest.mark.parametrize("layer", sorted(LEAKY_LAYERS))
+    @pytest.mark.parametrize("slope", [0.0, -0.1, 1.5, np.nan])
+    def test_slope_outside_unit_interval_refused(self, layer, slope):
+        conv, _, _, kw = LEAKY_LAYERS[layer]
+        with pytest.raises(UsageError, match="slope must be in"):
+            conv(*self.leaves(layer, np.float32), slope=slope, **kw)
 
 
 def flat_span(a, kh=3, kw=3, stride=1):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from warpadapt import kernels as K
-from warpadapt.autograd import Tensor, backward, concat, no_grad
+from warpadapt.autograd import Tensor, backward, concat, no_grad, topo_order
 from warpadapt.errors import ConfigError
 from warpadapt.networks import Discriminator, Extractor, FlowNet, Generator, StereoNet
 from warpadapt.trainer import TrainConfig
@@ -128,8 +128,8 @@ class TestBatchFolding:
     def test_matches_per_frame_encoding(self):
         # reference: each frame encoded in its own pass, as before folding
         def encode(net, img):
-            f1 = K.leaky_relu(net.conv("enc1", img, stride=2), 0.1)
-            return f1, K.leaky_relu(net.conv("enc2", f1, stride=2), 0.1)
+            f1 = net.conv("enc1", img, stride=2, slope=0.1)
+            return f1, net.conv("enc2", f1, stride=2, slope=0.1)
 
         a = rand_img((2, 3, 32, 64), seed=45)
         b = rand_img((2, 3, 32, 64), seed=46)
@@ -146,6 +146,35 @@ class TestBatchFolding:
                 want = net._decode(corr, f2a, f1a, a, lambda t: t)
             for g, w in zip(net.forward(a, b), want):
                 assert np.allclose(g.data, w.data, atol=1e-6)
+
+
+def tape_loss(outputs):
+    """The sum of the outputs' means: one scalar on the tape of a forward pass."""
+    loss = outputs[0].mean()
+    for t in outputs[1:]:
+        loss = loss + t.mean()
+    return loss
+
+
+class TestTapeSize:
+    """A layer is one node on the tape, its convolution's: a LeakyReLU rides
+    inside it, never in a node of its own."""
+
+    @pytest.mark.parametrize("name,nodes,convs", [
+        ("Generator", 17, 10), ("Discriminator", 6, 4), ("StereoNet", 36, 10),
+        ("FlowNet", 35, 10), ("Extractor", 8, 3)])
+    def test_nodes_per_forward(self, name, nodes, convs):
+        a = Tensor(rand_img((1, 3, 16, 32), seed=50).data, requires_grad=True)
+        b = rand_img((1, 3, 16, 32), seed=51)
+        outputs = {"Generator": lambda: Generator(seed=52, channels_base=4).forward(a)[:1],
+                   "Discriminator": lambda: [Discriminator(seed=53, channels_base=4).forward(a)],
+                   "StereoNet": lambda: StereoNet(seed=54, max_disp=8, channels_base=4).forward(a, b),
+                   "FlowNet": lambda: FlowNet(seed=55, max_flow=4, channels_base=4).forward(a, b),
+                   "Extractor": lambda: Extractor(seed=56).features(a)}[name]()
+        order = topo_order(tape_loss(outputs))
+        kinds = [node._backward.__qualname__.split(".")[0] for node in order]
+        assert kinds.count("conv2d") + kinds.count("conv_transpose2d") == convs
+        assert len(order) == nodes
 
 
 class TestExtractor:
