@@ -81,7 +81,12 @@ def kernel_cases(seed: int = 0) -> Iterator[tuple[str, Callable, Tensor, float]]
     yield "scalar_add", lambda t: (t + 0.3).mean(), a, SMOOTH_TOL
 
     x_off0 = _rand_away_from(rng, shp, 0.05, 0.0)
-    yield "abs", lambda t: K.absolute(t).mean(), x_off0, KINKED_TOL
+    # differences a - b that clear the abs kink at 0 by x_off0's gap
+    off_a, off_b = Tensor(b.data + x_off0.data), Tensor(a.data - x_off0.data)
+    yield "abs_diff/a", lambda t: K.abs_diff(t, b).mean(), off_a, KINKED_TOL
+    yield "abs_diff/b", lambda t: K.abs_diff(a, t).mean(), off_b, KINKED_TOL
+    yield "sq_diff/a", lambda t: K.sq_diff(t, b).mean(), a, SMOOTH_TOL
+    yield "sq_diff/b", lambda t: K.sq_diff(a, t).mean(), b, SMOOTH_TOL
     yield "square", lambda t: K.square(t).mean(), a, SMOOTH_TOL
     pos = _rand(rng, shp, lo=0.1, hi=2.0)
     yield "sqrt", lambda t: K.sqrt(t).mean(), pos, SMOOTH_TOL

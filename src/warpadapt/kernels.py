@@ -1,10 +1,14 @@
 """Differentiable kernel catalog over rank-4 tensors.
 
-Each kernel pairs a forward rule with a matched backward rule; composites
-(SSIM, cosine map) are assembled from primitives and differentiate through
-the graph. conv2d and conv_transpose2d share one core of one GEMM per kernel
-tap: a gather, which correlates an input with a kernel at stride s and, on the
-same taps, forms the weight gradient. It reads the input's s x s phases (space
+Each kernel pairs a forward rule with a matched backward rule; the cosine map
+is assembled from primitives and differentiates through the graph. Each map
+that compares two images (SSIM, |a - b|, (a - b)^2, smooth-L1) is one node
+that holds only its output: its backward pass reads its inputs again, and
+SSIM's recomputes its window moments and differentiates in closed form.
+
+conv2d and conv_transpose2d share one core of one GEMM per kernel tap: a
+gather, which correlates an input with a kernel at stride s and, on the same
+taps, forms the weight gradient. It reads the input's s x s phases (space
 to depth; at stride 1 the padded input itself) as one flat matrix, and every
 tap is a unit-stride window of one phase, so no tap copies its input; a layer
 whose working set passes TILE_BYTES runs in column tiles, every tap on one
@@ -21,7 +25,7 @@ on the biased output it allocates, so a layer is one tape node holding one
 activation; its backward pass reads the pre-activation's sign from the
 output's, which agree for a slope in (0, 1], and feeds the masked gradient to
 the bias, weight and input gradients. The Gaussian blur under SSIM is a
-product with a cached banded matrix per axis.
+product with a cached banded matrix per axis, and is its own adjoint.
 grid_sample reads its input at each pixel moved by a (b, 1 or 2, h, w) offset
 in pixels; a 1-channel offset moves along x alone and reads two taps, not four.
 A read past an edge indexes a bordered copy, never a mask: a zero border for
@@ -80,27 +84,45 @@ def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
     return result(out, (x,), lambda g: (np.where(inside, g, 0.0).astype(x.dtype),))
 
 
-def absolute(x: Tensor) -> Tensor:
-    sgn = np.sign(x.data)
-    return result(np.abs(x.data), (x,), lambda g: (g * sgn,))
-
-
 def square(x: Tensor) -> Tensor:
     return result(x.data * x.data, (x,), lambda g: (g * 2.0 * x.data,))
 
 
-def smooth_l1(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise smooth-L1 map: quadratic below 1, linear above."""
+# Each map of a difference below is one node holding only its output; its
+# backward pass reads a - b again from the inputs, which the graph holds anyway.
+
+def _diff(a: Tensor, b: Tensor) -> np.ndarray:
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
-    d = a.data - b.data
+    return a.data - b.data
+
+
+def _both(a: Tensor, b: Tensor, ga: np.ndarray) -> tuple:
+    """Gradients (ga, -ga) of a map of a - b, each only where it is needed."""
+    return (ga if a.requires_grad else None), (-ga if b.requires_grad else None)
+
+
+def abs_diff(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise |a - b|."""
+    return result(np.abs(_diff(a, b)), (a, b),
+                  lambda g: _both(a, b, g * np.sign(a.data - b.data)))
+
+
+def sq_diff(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise (a - b)^2."""
+    d = _diff(a, b)
+    return result(d * d, (a, b), lambda g: _both(a, b, g * 2.0 * (a.data - b.data)))
+
+
+def smooth_l1(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise smooth-L1 map of a - b: quadratic below 1, linear above."""
+    d = _diff(a, b)
     ad = np.abs(d)
-    quad = ad < 1.0
-    out = np.where(quad, 0.5 * d * d, ad - 0.5).astype(a.dtype)
+    out = np.where(ad < 1.0, 0.5 * d * d, ad - 0.5).astype(a.dtype)
 
     def backward(g):
-        dd = np.where(quad, d, np.sign(d))
-        return g * dd, -g * dd
+        d = a.data - b.data
+        return _both(a, b, g * np.where(np.abs(d) < 1.0, d, np.sign(d)))
 
     return result(out, (a, b), backward)
 
@@ -446,17 +468,17 @@ def _blur_along(v: np.ndarray, band: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+def _blur(v: np.ndarray, size: int, sigma: float) -> np.ndarray:
+    bh, bw = (_blur_band(min(n, BLUR_TILE), size, sigma, v.dtype) for n in v.shape[2:])
+    return _blur_along(_blur_along(v, bh, 2), bw, 3)
+
+
 def gaussian_blur(x: Tensor, size: int = 11, sigma: float = 1.5) -> Tensor:
     """Depthwise Gaussian blur, zero padding, unit-sum window."""
     if size % 2 != 1 or size < 3:
         raise UsageError("window size must be odd and >= 3")
-    bh, bw = (_blur_band(min(n, BLUR_TILE), size, sigma, x.data.dtype) for n in x.shape[2:])
-
-    def run(v):
-        return _blur_along(_blur_along(v, bh, 2), bw, 3)
-
     # symmetric window + zero padding: the adjoint of the blur is the blur
-    return result(run(x.data), (x,), lambda g: (run(g),))
+    return result(_blur(x.data, size, sigma), (x,), lambda g: (_blur(g, size, sigma),))
 
 
 # -- resampling ---------------------------------------------------------------
@@ -650,18 +672,74 @@ def ssim_map(a: Tensor, b: Tensor, size: int = 11, sigma: float = 1.5) -> Tensor
     """Per-pixel structural similarity with an 11x1.5 Gaussian window.
 
     Constants use dynamic range 1.0 (images live in [0, 1]). Identical inputs
-    give a map of exactly 1.
+    give a map of exactly 1. With G the blur, mu_x = G[x] and the window
+    moments s_xy = G[xy] - mu_x mu_y, the map is S = A1 A2 / (B1 B2) for
+    A1 = 2 mu_a mu_b + C1, A2 = 2 s_ab + C2, B1 = mu_a^2 + mu_b^2 + C1 and
+    B2 = s_aa + s_bb + C2. It is one node holding S alone: the forward pass
+    works in place, and the backward pass recomputes the moments and
+    differentiates S in closed form (G is its own adjoint).
     """
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
-    mu_a = gaussian_blur(a, size, sigma)
-    mu_b = gaussian_blur(b, size, sigma)
-    var_a = gaussian_blur(mul(a, a), size, sigma) - mul(mu_a, mu_a)
-    var_b = gaussian_blur(mul(b, b), size, sigma) - mul(mu_b, mu_b)
-    cov = gaussian_blur(mul(a, b), size, sigma) - mul(mu_a, mu_b)
-    num = (2.0 * mul(mu_a, mu_b) + SSIM_C1) * (2.0 * cov + SSIM_C2)
-    den = (mul(mu_a, mu_a) + mul(mu_b, mu_b) + SSIM_C1) * (var_a + var_b + SSIM_C2)
-    return div(num, den)
+    va, vb = a.data, b.data
+    dt = np.result_type(va, vb).type
+    c1, c2, two = dt(SSIM_C1), dt(SSIM_C2), dt(2.0)
+
+    def blur(v):
+        # the public blur, on an untaped tensor: it records no node
+        return gaussian_blur(Tensor(v), size, sigma).data
+
+    mu_a, mu_b = blur(va), blur(vb)
+    b2 = blur(va * va)
+    b2 -= mu_a * mu_a
+    var_b = blur(vb * vb)
+    var_b -= mu_b * mu_b
+    b2 += var_b
+    del var_b  # before the last blur, so that at most six maps are live
+    b2 += c2
+    a2 = blur(va * vb)
+    s = mu_a * mu_b
+    a2 -= s
+    a2 *= two
+    a2 += c2
+    s *= two
+    s += c1
+    s *= a2  # A1 A2
+    mu_a *= mu_a
+    mu_b *= mu_b
+    mu_a += mu_b
+    mu_a += c1
+    mu_a *= b2  # B1 B2
+    s /= mu_a
+
+    def backward(g):
+        def blur(v):
+            return _blur(v, size, sigma)
+
+        va, vb = a.data, b.data
+        mu_a, mu_b = blur(va), blur(vb)
+        b1 = mu_a * mu_a + mu_b * mu_b + SSIM_C1
+        b2 = blur(va * va) - mu_a * mu_a + blur(vb * vb) - mu_b * mu_b + SSIM_C2
+        gs = g * s
+        # the gradient at B1, B2, A1 and A2
+        gb1, gb2 = -gs / b1, -gs / b2
+        gs = g / (b1 * b2)
+        del b1, b2
+        ab = mu_a * mu_b
+        ga1 = gs * (2.0 * (blur(va * vb) - ab) + SSIM_C2)
+        ga2 = gs * (2.0 * ab + SSIM_C1)
+        del gs, ab
+        u = 2.0 * (ga1 - ga2)  # at mu_a mu_b
+        v = 2.0 * (gb1 - gb2)  # twice that at mu_a^2, and at mu_b^2
+        del ga1, gb1
+        q = blur(gb2)  # at a^2 and at b^2
+        r = blur(2.0 * ga2)  # at ab
+        del ga2, gb2
+        da = blur(mu_b * u + mu_a * v) + 2.0 * va * q + vb * r if a.requires_grad else None
+        db = blur(mu_a * u + mu_b * v) + 2.0 * vb * q + va * r if b.requires_grad else None
+        return da, db
+
+    return result(s, (a, b), backward)
 
 
 def cosine_map(a: Tensor, b: Tensor, eps: float = 1e-8) -> Tensor:

@@ -74,7 +74,7 @@ def adversarial_loss(d_real: Tensor, d_fake: Tensor):
 
 def cycle_loss(reconstructed: Tensor, original: Tensor) -> Tensor:
     """Mean L1 plus structural dissimilarity for one cycle direction."""
-    l1 = K.absolute(reconstructed - original).mean()
+    l1 = K.abs_diff(reconstructed, original).mean()
     return l1 + (1.0 - K.ssim_map(reconstructed, original).mean())
 
 
@@ -82,7 +82,7 @@ def perceptual_loss(a: Tensor, b: Tensor, extractor) -> Tensor:
     """Summed mean-squared distance between frozen extractor activations."""
     total = None
     for fa, fb in zip(extractor.features(a), extractor.features(b)):
-        term = K.square(fa - fb).mean()
+        term = K.sq_diff(fa, fb).mean()
         total = term if total is None else total + term
     return total
 
@@ -98,7 +98,7 @@ def corr_consistency_loss(x_l: Tensor, x_r: Tensor, g_l: Tensor, g_r: Tensor,
     translated stereo pair; translation must preserve matching structure."""
     v_orig = _standardize(K.correlation(x_l, x_r, max_disp))
     v_trans = _standardize(K.correlation(g_l, g_r, max_disp))
-    return K.absolute(v_trans - v_orig).mean()
+    return K.abs_diff(v_trans, v_orig).mean()
 
 
 def _standardize(v: Tensor) -> Tensor:
@@ -109,8 +109,8 @@ def _standardize(v: Tensor) -> Tensor:
 
 def mode_seeking_loss(fake1: Tensor, fake2: Tensor, src1: Tensor, src2: Tensor) -> Tensor:
     """Input diversity over output diversity; large when the outputs collapse."""
-    num = K.absolute(src1 - src2).mean()
-    den = K.absolute(fake1 - fake2).mean() + 1e-5
+    num = K.abs_diff(src1, src2).mean()
+    den = K.abs_diff(fake1, fake2).mean() + 1e-5
     return num / den
 
 

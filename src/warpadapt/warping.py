@@ -68,7 +68,7 @@ def multiscale_warp_loss(field: Tensor, warps, mask: Tensor | None = None) -> Te
         for (src, dst, sign), out in zip(warps, terms):
             if src[level].shape != dst[level].shape:
                 raise ShapeError(f"tap shape mismatch {src[level].shape} vs {dst[level].shape}")
-            out.append(_masked_l1(K.absolute(warp(src[level], field, sign) - dst[level]), mask))
+            out.append(_masked_l1(K.abs_diff(warp(src[level], field, sign), dst[level]), mask))
     totals = [sum(t[1:], t[0]) * (1.0 / n) for t in terms]
     return sum(totals[1:], totals[0])
 

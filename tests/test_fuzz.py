@@ -1,7 +1,8 @@
-"""Property tests of the two binary readers: a dataset sample and a checkpoint
-with bytes flipped, cut off or appended. ``eval`` reads both, and whatever the
-bytes, it ends in exit 0, 2 or 3 with at most one stderr line, never a
-traceback. The examples are derandomized, so every run tries the same ones."""
+"""Property tests of the readers: a dataset sample and a checkpoint with bytes
+flipped, cut off or appended, a dataset's ``manifest.txt`` and the text of
+``train --config``. Whatever the input, the command that reads it ends in exit
+0, 2 or 3 with at most one stderr line, never a traceback. The examples are
+derandomized, so every run tries the same ones."""
 
 import contextlib
 import io
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpadapt.cli import main
+from warpadapt.trainer import CHOICES, CONFIG_KEYS
 
 EXAMPLES = 100
 
@@ -52,12 +54,16 @@ def small_run(tmp_path_factory):
     return {"root": root, "data": data, "checkpoint": os.path.join(out, "checkpoint_final.wck")}
 
 
-def eval_ends_cleanly(checkpoint: str, data: str) -> None:
+def ends_cleanly(argv: list) -> None:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["eval", "--checkpoint", checkpoint, "--data", data])
+        code = main(argv)
     assert code in (0, 2, 3), err.getvalue()
     assert err.getvalue().count("\n") <= 1, err.getvalue()
+
+
+def eval_ends_cleanly(checkpoint: str, data: str) -> None:
+    ends_cleanly(["eval", "--checkpoint", checkpoint, "--data", data])
 
 
 @settings(max_examples=EXAMPLES, derandomize=True, database=None, deadline=None)
@@ -84,3 +90,81 @@ def test_mutated_checkpoint(small_run, mutation):
     with open(path, "wb") as fh:
         fh.write(mutate(raw, mutation))
     eval_ends_cleanly(path, small_run["data"])
+
+
+SAMPLE_NAMES = [f"sample_{i:05d}.wad" for i in range(4)]
+# a line of a manifest: a sample of the dataset, a name that is no plain file
+# of it, or any short text
+manifest_lines = st.one_of(
+    st.sampled_from(SAMPLE_NAMES),
+    st.sampled_from(["", " ", ".", "..", "manifest.txt", "missing.wad", "x" * 300,
+                     "../data/sample_00000.wad", "sample_00000.wad\0", " sample_00003.wad\t"]),
+    st.text(max_size=20),
+)
+# str.splitlines breaks a line at each of these
+line_ends = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x1c", "\u2028"])
+manifests = st.one_of(
+    st.lists(st.tuples(manifest_lines, line_ends), max_size=6).map(
+        lambda lines: "".join(a + b for a, b in lines).encode()),
+    st.tuples(st.just("".join(n + "\n" for n in SAMPLE_NAMES).encode()), mutations).map(
+        lambda pair: mutate(*pair)),
+)
+
+
+@settings(max_examples=EXAMPLES, derandomize=True, database=None, deadline=None)
+@given(manifest=manifests)
+def test_fuzzed_manifest(small_run, manifest):
+    data = str(small_run["root"] / "manifest_data")
+    shutil.rmtree(data, ignore_errors=True)
+    shutil.copytree(small_run["data"], data)
+    with open(os.path.join(data, "manifest.txt"), "wb") as fh:
+        fh.write(manifest)
+    eval_ends_cleanly(small_run["checkpoint"], data)
+
+
+# a value for a key: any short text without a line break, a number near every
+# field's bounds, or one of a string field's choices
+values = st.one_of(
+    st.text(st.characters(exclude_categories=("Cc", "Zl", "Zp")), max_size=12),
+    st.integers(-3, 9).map(str),
+    st.floats(-2, 2).map(repr),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from([v for allowed in CHOICES.values() for v in allowed]),
+)
+key_value = st.tuples(st.sampled_from(list(CONFIG_KEYS)), st.sampled_from(["=", " = "]),
+                      values, st.sampled_from(["", " # note", "#"])).map("".join)
+junk = st.one_of(
+    st.sampled_from(["", "# comment", "=", "=1", "weights.=1", "unknown=1", "k 5", "\0"]),
+    st.text(max_size=20),
+)
+
+
+def with_junk(lines: list, line, where: float) -> str:
+    """The key=value lines with at most one other line among them."""
+    if line is not None:
+        lines.insert(int(where * (len(lines) + 1)), line)
+    return "\n".join(lines)
+
+
+configs = st.one_of(
+    st.builds(with_junk, st.lists(key_value, max_size=6), st.none() | junk,
+              st.floats(0, 1, exclude_max=True)).map(str.encode),
+    st.binary(max_size=64),
+)
+# the run sizes are pinned by overrides, which win over the file: no fuzzed
+# value can make the networks or the run large
+PINNED = ["--total_iters", "0", "--channels_base", "4", "--max_disp", "8", "--max_flow", "4"]
+
+
+@settings(max_examples=EXAMPLES, derandomize=True, database=None, deadline=None)
+@given(text=configs)
+def test_fuzzed_config(small_run, text):
+    path = str(small_run["root"] / "fuzzed.cfg")
+    with open(path, "wb") as fh:
+        # one validation sample leaves the other real scene to train on, so a
+        # valid file runs to the end; a fuzzed line can still override both
+        fh.write(b"val_count = 1\nbatch_size = 1\n" + text)
+    out = str(small_run["root"] / "config_run")
+    shutil.rmtree(out, ignore_errors=True)
+    ends_cleanly(["train", "--config", path, "--data", small_run["data"], "--out", out]
+                 + PINNED)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from warpadapt import kernels as K
-from warpadapt.autograd import Tensor, backward, concat, grad_check, result
+from warpadapt.autograd import Tensor, backward, concat, div, grad_check, mul, result, topo_order
 from warpadapt.checks import kernel_cases
 from warpadapt.errors import ShapeError, UsageError
 from warpadapt.warping import warp
@@ -943,6 +943,93 @@ class TestBlur:
         lhs = (K.gaussian_blur(Tensor(x)).data * y).sum()
         rhs = (x * K.gaussian_blur(Tensor(y)).data).sum()
         assert np.isclose(lhs, rhs, rtol=1e-12, atol=0)
+
+
+def absolute(x):
+    """|x| as a node of its own, keeping sign(x) for its gradient."""
+    sgn = np.sign(x.data)
+    return result(np.abs(x.data), (x,), lambda g: (g * sgn,))
+
+
+def ssim_composite(a, b, size=11, sigma=1.5):
+    """The SSIM map assembled from taped primitives, about 20 nodes."""
+    mu_a = K.gaussian_blur(a, size, sigma)
+    mu_b = K.gaussian_blur(b, size, sigma)
+    var_a = K.gaussian_blur(mul(a, a), size, sigma) - mul(mu_a, mu_a)
+    var_b = K.gaussian_blur(mul(b, b), size, sigma) - mul(mu_b, mu_b)
+    cov = K.gaussian_blur(mul(a, b), size, sigma) - mul(mu_a, mu_b)
+    num = (2.0 * mul(mu_a, mu_b) + K.SSIM_C1) * (2.0 * cov + K.SSIM_C2)
+    den = (mul(mu_a, mu_a) + mul(mu_b, mu_b) + K.SSIM_C1) * (var_a + var_b + K.SSIM_C2)
+    return div(num, den)
+
+
+def input_grads(f, a, b, g):
+    """(da, db) of <f(a, b), g> through a full backward walk."""
+    a, b = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    backward(mul(f(a, b), Tensor(g)).sum())
+    return a.grad, b.grad
+
+
+def image_pair(shape, dtype, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0, 1, shape)
+    # b near a, as a reconstruction is near its original
+    b = np.clip(a + rng.normal(0, 0.1, shape), 0, 1)
+    return a.astype(dtype), b.astype(dtype), rng.standard_normal(shape).astype(dtype)
+
+
+class TestOneNodeMaps:
+    """SSIM, |a - b| and (a - b)^2 each record one node that holds only its
+    output, with the bits of the composites they replace."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 3, 64, 128), (1, 2, 5, 7)])
+    def test_ssim_forward_keeps_composite_bits(self, dtype, shape):
+        a, b, _ = image_pair(shape, dtype, 40)
+        got = K.ssim_map(Tensor(a), Tensor(b)).data
+        assert got.dtype == dtype
+        assert np.array_equal(got, ssim_composite(Tensor(a), Tensor(b)).data)
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    def test_ssim_gradients_match_composite(self, dtype, tol):
+        a, b, g = image_pair((2, 3, 32, 48), dtype, 41)
+        for got, want in zip(input_grads(K.ssim_map, a, b, g),
+                             input_grads(ssim_composite, a, b, g)):
+            assert got.dtype == dtype
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    def test_ssim_gradient_only_where_needed(self):
+        a, b, g = image_pair((1, 2, 8, 8), np.float64, 42)
+        da, db = K.ssim_map(Tensor(a, requires_grad=True), Tensor(b))._backward(g)
+        assert db is None and np.array_equal(da, input_grads(K.ssim_map, a, b, g)[0])
+
+    @pytest.mark.parametrize("fused,composite", [
+        (K.abs_diff, lambda a, b: absolute(a - b)),
+        (K.sq_diff, lambda a, b: K.square(a - b)),
+    ], ids=["abs_diff", "sq_diff"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_difference_maps_keep_composite_bits(self, fused, composite, dtype):
+        a, b, g = image_pair((2, 3, 8, 8), dtype, 43)
+        assert np.array_equal(fused(Tensor(a), Tensor(b)).data,
+                              composite(Tensor(a), Tensor(b)).data)
+        for got, want in zip(input_grads(fused, a, b, g), input_grads(composite, a, b, g)):
+            assert got.dtype == dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("fn", [K.ssim_map, K.abs_diff, K.sq_diff, K.smooth_l1])
+    def test_one_node_each(self, fn):
+        a, b, _ = image_pair((1, 3, 8, 8), np.float32, 44)
+        out = fn(Tensor(a, requires_grad=True), Tensor(b, requires_grad=True))
+        assert len(topo_order(out)) == 1
+        # the closure keeps no array beside the output: its cells hold the
+        # inputs, the output and scalars
+        cells = [c.cell_contents for c in out._backward.__closure__ or ()]
+        arrays = [c for c in cells if isinstance(c, np.ndarray) and c.ndim]
+        assert all(c is out.data for c in arrays)
+
+    @pytest.mark.parametrize("fn", [K.ssim_map, K.abs_diff, K.sq_diff])
+    def test_shape_mismatch(self, fn):
+        with pytest.raises(ShapeError):
+            fn(rand((1, 1, 4, 4)), rand((1, 1, 4, 5)))
 
 
 class TestSSIM:

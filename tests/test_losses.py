@@ -5,7 +5,7 @@ import pytest
 
 from warpadapt import kernels as K
 from warpadapt import losses as L
-from warpadapt.autograd import Tensor, backward
+from warpadapt.autograd import Tensor, backward, topo_order
 from warpadapt.errors import ConfigError
 from warpadapt.networks import Extractor, Generator, StereoNet
 
@@ -47,6 +47,11 @@ class TestCycle:
         b = const((1, 1, 16, 16), 1.0)
         want = 1.0 + (1.0 - ssim_bruteforce(a.data, b.data).mean())
         assert L.cycle_loss(a, b).item() == pytest.approx(want, rel=1e-10)
+
+    def test_graph_nodes(self):
+        # |a - b|, SSIM, their two means, 1 - x as a scale and a shift, and the sum
+        rec = Tensor(rand((1, 3, 16, 16), seed=2).data, requires_grad=True)
+        assert len(topo_order(L.cycle_loss(rec, rand((1, 3, 16, 16), seed=3)))) == 7
 
 
 class TestPerceptual:
