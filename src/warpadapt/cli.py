@@ -124,8 +124,11 @@ def cmd_eval(args) -> int:
 
 def cmd_translate(args) -> int:
     state = load_checkpoint(args.checkpoint)
+    name = os.path.basename(args.sample)
     with open(args.sample, "rb") as fh:
-        sample = sample_from_bytes(fh.read(), label=os.path.basename(args.sample))
+        sample = sample_from_bytes(fh.read(), label=name)
+    if sample.left is None:
+        raise FormatError(f"{name}: a translate input needs its left frame")
     os.makedirs(args.out, exist_ok=True)
 
     expected = {"a2b": "synthetic", "b2a": "real", "cycle": "real"}[args.direction]

@@ -45,11 +45,6 @@ from .errors import ShapeError, UsageError
 
 # -- pointwise ----------------------------------------------------------------
 
-def sigmoid(x: Tensor) -> Tensor:
-    s = _sigmoid(x.data)
-    return result(s, (x,), lambda g: (g * s * (1.0 - s),))
-
-
 def _sigmoid(v: np.ndarray) -> np.ndarray:
     out = np.empty_like(v)
     pos = v >= 0
@@ -69,19 +64,9 @@ def softplus(x: Tensor) -> Tensor:
     return result(out, (x,), lambda g: (g * _sigmoid(x.data),))
 
 
-def log(x: Tensor) -> Tensor:
-    return result(np.log(x.data), (x,), lambda g: (g / x.data,))
-
-
 def sqrt(x: Tensor) -> Tensor:
     r = np.sqrt(x.data)
     return result(r, (x,), lambda g: (g * 0.5 / r,))
-
-
-def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
-    inside = (x.data > lo) & (x.data < hi)
-    out = np.clip(x.data, lo, hi)
-    return result(out, (x,), lambda g: (np.where(inside, g, 0.0).astype(x.dtype),))
 
 
 def square(x: Tensor) -> Tensor:

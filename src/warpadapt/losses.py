@@ -17,9 +17,6 @@ from .autograd import Tensor
 from .errors import ConfigError
 from .warping import stagewise_warp_loss
 
-PROB_EPS = 1e-6
-
-
 @dataclass
 class LossWeights:
     """Weight factors of the three objectives.
@@ -60,15 +57,14 @@ BREAKDOWN_KEYS = (
 # -- individual terms ----------------------------------------------------------
 
 def adversarial_loss(d_real: Tensor, d_fake: Tensor):
-    """Log-loss GAN terms on patch realness maps.
+    """Log-loss GAN terms on patch logit maps.
 
     Returns (generator term, discriminator term); the generator term is the
-    non-saturating form. Probabilities are clamped before the log.
+    non-saturating form. With -log sigmoid(z) = softplus(-z) and
+    -log(1 - sigmoid(z)) = softplus(z), each term is one softplus per map.
     """
-    pr = K.clamp(d_real, PROB_EPS, 1.0 - PROB_EPS)
-    pf = K.clamp(d_fake, PROB_EPS, 1.0 - PROB_EPS)
-    disc = (K.log(pr).mean() + K.log(1.0 - pf).mean()) * -1.0
-    gen = K.log(pf).mean() * -1.0
+    disc = K.softplus(-d_real).mean() + K.softplus(d_fake).mean()
+    gen = K.softplus(-d_fake).mean()
     return gen, disc
 
 

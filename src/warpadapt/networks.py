@@ -83,7 +83,7 @@ class Generator(Network):
 
 
 class Discriminator(Network):
-    """Four stride-2 convolutions to a one-channel sigmoid patch map."""
+    """Four stride-2 convolutions to a one-channel logit patch map."""
 
     def __init__(self, seed: int, channels_base: int = 8):
         super().__init__(seed)
@@ -97,7 +97,7 @@ class Discriminator(Network):
         h = self.conv("c1", x, stride=2, slope=0.2)
         h = self.conv("c2", h, stride=2, slope=0.2)
         h = self.conv("c3", h, stride=2, slope=0.2)
-        return K.sigmoid(self.conv("c4", h, stride=2))
+        return self.conv("c4", h, stride=2)
 
 
 class _PyramidNet(Network):

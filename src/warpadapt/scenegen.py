@@ -32,6 +32,7 @@ from .errors import ConfigError, FormatError
 # each field's channel count, in on-disk order
 FIELD_CHANNELS = {"left": 3, "right": 3, "next_left": 3, "disparity": 1, "flow": 2, "occlusion": 1}
 FIELD_ORDER = tuple(FIELD_CHANNELS)
+FRAMES = FIELD_ORDER[:3]  # images, every value in [0, 1]
 DOMAIN_TAGS = {"synthetic": 0, "real": 1}
 DOMAIN_NAMES = {v: k for k, v in DOMAIN_TAGS.items()}
 
@@ -120,15 +121,14 @@ def _make_texture(rng):
     return base, waves
 
 
-def _sample_layers(rng, width, height, max_disp, max_flow, num_layers):
+def _sample_layers(rng, width, height, max_disp, max_flow):
     d_bg = rng.uniform(0.2, 1.0)
     ang = rng.uniform(0, 2 * np.pi)
     mag = rng.uniform(0.0, 1.0)
     background = _Layer("background", 0, 0, 1, 1, d_bg,
                         mag * np.cos(ang), mag * np.sin(ang), _make_texture(rng))
     layers = [background]
-    count = int(rng.integers(5, 11)) if num_layers is None else num_layers
-    for _ in range(count):
+    for _ in range(int(rng.integers(5, 11))):
         kind = "rect" if rng.uniform() < 0.5 else "ellipse"
         cx = rng.uniform(0.1 * width, 0.9 * width)
         cy = rng.uniform(0.1 * height, 0.9 * height)
@@ -209,11 +209,11 @@ def check_scene_params(width: int, height: int, max_disp: int, max_flow: int) ->
 
 
 def generate_scene(seed: int, width: int = 128, height: int = 64, max_disp: int = 16,
-                   max_flow: int = 8, num_layers: int | None = None) -> SceneSample:
+                   max_flow: int = 8) -> SceneSample:
     """Generate one synthetic tuple with its ground-truth fields."""
     check_scene_params(width, height, max_disp, max_flow)
     rng = np.random.default_rng(np.random.PCG64(seed))
-    layers = _sample_layers(rng, width, height, max_disp, max_flow, num_layers)
+    layers = _sample_layers(rng, width, height, max_disp, max_flow)
     ys, xs = np.meshgrid(np.arange(height, dtype=np.float64),
                          np.arange(width, dtype=np.float64), indexing="ij")
 
@@ -307,6 +307,10 @@ def sample_from_bytes(buf: bytes, label: str = "sample") -> SceneSample:
         if v is not None and not _extent_ok(v.shape[3], v.shape[2]):
             raise FormatError(f"{label}: {name} at byte {at} is {v.shape[3]}x{v.shape[2]}, "
                               f"but {EXTENT_RULE}")
+        if name in FRAMES and v is not None and not (v.min() >= 0.0 and v.max() <= 1.0):
+            bad = int(np.argmax((v < 0.0) | (v > 1.0)))
+            raise FormatError(f"{label}: {name} value {v.flat[bad]:g} outside [0, 1] "
+                              f"at byte {r.off - 4 * (v.size - bad)}")
     r.done()
     return SceneSample(domain=DOMAIN_NAMES[tag], **values)
 

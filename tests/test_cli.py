@@ -412,9 +412,9 @@ def with_value(sample, field, value):
 
 
 class TestIncompleteOrNonFiniteData:
-    """A dataset sample missing a field, or holding a NaN or infinity, is
-    refused as it is read: exit 3, one line naming the file and the field or
-    byte, and no out dir for train."""
+    """A dataset sample missing a field, or holding a NaN, an infinity or a
+    frame value outside [0, 1], is refused as it is read: exit 3, one line
+    naming the file and the field or byte, and no out dir for train."""
 
     CASES = {
         "real_without_disparity": ("real", lambda s: replace(s, disparity=None), False,
@@ -433,13 +433,24 @@ class TestIncompleteOrNonFiniteData:
         "synthetic_inf_disparity": ("synthetic",
                                     lambda s: with_value(s, "disparity", np.inf), False,
                                     "non-finite value at byte "),
+        # one flipped exponent bit makes a pixel in [0.5, 1) a value above 1.7e38
+        "real_huge_pixel": ("real", lambda s: with_value(s, "left", 1.7e38), False,
+                            r"left value 1\.7e\+38 outside \[0, 1\] at byte 27"),
+        "one_synthetic_dark_right": ("synthetic", lambda s: with_value(s, "right", -0.25),
+                                     True, r"right value -0\.25 outside \[0, 1\] at byte "),
+        "one_synthetic_bright_next_left": ("synthetic",
+                                           lambda s: with_value(s, "next_left", 1.0001),
+                                           True, r"next_left value 1\.0001 outside \[0, 1\] "
+                                                 r"at byte "),
     }
 
     @pytest.mark.parametrize("command, case", [
         ("eval", "real_without_disparity"), ("train", "real_without_disparity"),
         ("train", "synthetic_without_flow"), ("train", "one_synthetic_without_occlusion"),
         ("train", "synthetic_without_disparity"), ("eval", "real_nan_pixel"),
-        ("train", "real_nan_pixel"), ("train", "synthetic_inf_disparity")])
+        ("train", "real_nan_pixel"), ("train", "synthetic_inf_disparity"),
+        ("eval", "real_huge_pixel"), ("train", "real_huge_pixel"),
+        ("eval", "one_synthetic_dark_right"), ("train", "one_synthetic_bright_next_left")])
     def test_exits_3_naming_file_and_field(self, small_run, tmp_path, capsys, command, case):
         domain, edit, first_only, message = self.CASES[case]
         data = str(tmp_path / "data")
@@ -478,6 +489,26 @@ class TestIncompleteOrNonFiniteData:
             assert main(["translate", "--checkpoint", small_run["checkpoint"], "--in", path,
                          "--out", str(tmp_path / "o")]) == code
         assert capsys.readouterr().err == "error: in.wad: non-finite value at byte 27\n"
+
+    def test_translate_needs_a_left_in_range(self, small_run, tmp_path, capsys):
+        scene = generate_scene(54, width=32, height=16, max_disp=8, max_flow=4)
+        edges, hot = scene.left.copy(), scene.left.copy()
+        edges[0, 0], edges[0, 1] = 0.0, 1.0
+        hot[0, 1, 4:8, 4:8] = 3e38
+        path = str(tmp_path / "in.wad")
+        for left, code in ((edges, 0), (None, 3), (hot, 3)):
+            with open(path, "wb") as fh:
+                fh.write(sample_to_bytes(replace(scene, left=left, domain="real")))
+            capsys.readouterr()
+            assert main(["translate", "--checkpoint", small_run["checkpoint"], "--in", path,
+                         "--out", str(tmp_path / "o"), "--direction", "cycle"]) == code
+            if left is None:
+                assert capsys.readouterr().err == ("error: in.wad: a translate input needs "
+                                                   "its left frame\n")
+        # channel 1, row 4, column 4 of the 16x32 frame, after the 27-byte header
+        at = 27 + 4 * (16 * 32 + 4 * 32 + 4)
+        assert capsys.readouterr().err == (f"error: in.wad: left value 3e+38 outside [0, 1] "
+                                           f"at byte {at}\n")
 
 
 def cropped(scene, height, width):

@@ -1,8 +1,9 @@
-"""Property tests of the readers: a dataset sample and a checkpoint with bytes
-flipped, cut off or appended, a dataset's ``manifest.txt`` and the text of
-``train --config``. Whatever the input, the command that reads it ends in exit
-0, 2 or 3 with at most one stderr line, never a traceback. The examples are
-derandomized, so every run tries the same ones."""
+"""Property tests of the readers: a dataset sample, a ``translate`` input and a
+checkpoint with bytes flipped, cut off or appended, a dataset's
+``manifest.txt`` and the text of ``train --config``. Whatever the input, the
+command that reads it ends in exit 0, 2 or 3 with at most one stderr line,
+never a traceback. The examples are derandomized, so every run tries the same
+ones."""
 
 import contextlib
 import io
@@ -54,11 +55,11 @@ def small_run(tmp_path_factory):
     return {"root": root, "data": data, "checkpoint": os.path.join(out, "checkpoint_final.wck")}
 
 
-def ends_cleanly(argv: list) -> None:
+def ends_cleanly(argv: list, codes=(0, 2, 3)) -> None:
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 2, 3), err.getvalue()
+    assert code in codes, err.getvalue()
     assert err.getvalue().count("\n") <= 1, err.getvalue()
 
 
@@ -79,6 +80,20 @@ def test_mutated_sample(small_run, mutation):
     with open(path, "wb") as fh:
         fh.write(mutate(raw, mutation))
     eval_ends_cleanly(small_run["checkpoint"], data)
+
+
+@settings(max_examples=EXAMPLES, derandomize=True, database=None, deadline=None)
+@given(mutation=mutations)
+def test_mutated_translate_input(small_run, mutation):
+    path = str(small_run["root"] / "mutated.wad")
+    with open(os.path.join(small_run["data"], "sample_00003.wad"), "rb") as fh:
+        raw = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(mutate(raw, mutation))
+    # a flipped domain tag leaves a readable sample and a one-line warning
+    ends_cleanly(["translate", "--checkpoint", small_run["checkpoint"], "--in", path,
+                  "--out", str(small_run["root"] / "translated"), "--direction", "cycle"],
+                 codes=(0, 3))
 
 
 @settings(max_examples=EXAMPLES, derandomize=True, database=None, deadline=None)

@@ -21,20 +21,54 @@ def rand(shape, seed=0, lo=0.0, hi=1.0):
     return Tensor(rng.uniform(lo, hi, size=shape))
 
 
+def clamped_log_loss(d_real, d_fake, eps=1e-6):
+    """(generator, discriminator) log-loss terms as once computed from
+    sigmoid probabilities clamped to [eps, 1 - eps]: the float64 reference of
+    the softplus form on logits."""
+    pr = np.clip(1.0 / (1.0 + np.exp(-d_real)), eps, 1.0 - eps)
+    pf = np.clip(1.0 / (1.0 + np.exp(-d_fake)), eps, 1.0 - eps)
+    return -np.log(pf).mean(), -(np.log(pr).mean() + np.log(1.0 - pf).mean())
+
+
 class TestAdversarial:
     def test_perfect_discriminator_near_zero(self):
-        gen, disc = L.adversarial_loss(const((1, 1, 4, 4), 1 - 1e-6),
-                                       const((1, 1, 4, 4), 1e-6))
-        assert disc.item() == pytest.approx(0.0, abs=1e-5)
+        _, disc = L.adversarial_loss(const((1, 1, 4, 4), 20.0), const((1, 1, 4, 4), -20.0))
+        gen, _ = L.adversarial_loss(const((1, 1, 4, 4), 20.0), const((1, 1, 4, 4), 20.0))
+        assert 0.0 < disc.item() < 1e-8
+        assert 0.0 < gen.item() < 1e-8
 
     def test_uninformative_discriminator(self):
-        gen, disc = L.adversarial_loss(const((1, 1, 4, 4), 0.5), const((1, 1, 4, 4), 0.5))
-        assert disc.item() == pytest.approx(2 * math.log(2), rel=1e-6)
-        assert gen.item() == pytest.approx(math.log(2), rel=1e-6)
+        gen, disc = L.adversarial_loss(const((1, 1, 4, 4), 0.0), const((1, 1, 4, 4), 0.0))
+        assert disc.item() == pytest.approx(2 * math.log(2), rel=1e-12)
+        assert gen.item() == pytest.approx(math.log(2), rel=1e-12)
 
-    def test_clamping_guards_extremes(self):
-        gen, disc = L.adversarial_loss(const((1, 1, 2, 2), 1.0), const((1, 1, 2, 2), 0.0))
-        assert np.isfinite(disc.item()) and np.isfinite(gen.item())
+    def test_extreme_logits_stay_finite(self):
+        for real, fake in ((1e4, -1e4), (-1e4, 1e4)):
+            gen, disc = L.adversarial_loss(const((1, 1, 2, 2), real), const((1, 1, 2, 2), fake))
+            assert np.isfinite(disc.item()) and np.isfinite(gen.item())
+        # a fake the discriminator rejects outright still gives the generator
+        # its full gradient, -1 per element over the mean's 4
+        fake = Tensor(np.full((1, 1, 2, 2), -1e4), requires_grad=True)
+        gen, _ = L.adversarial_loss(const((1, 1, 2, 2), 1e4), fake)
+        backward(gen)
+        assert np.allclose(fake.grad, -0.25)
+
+    def test_matches_clamped_log_loss(self):
+        rng = np.random.default_rng(4)
+        real, fake = (rng.uniform(-10.0, 10.0, (2, 1, 8, 16)) for _ in range(2))
+        gen, disc = L.adversarial_loss(Tensor(real), Tensor(fake))
+        want_gen, want_disc = clamped_log_loss(real, fake)
+        assert abs(gen.item() - want_gen) < 1e-12
+        assert abs(disc.item() - want_disc) < 1e-12
+
+    def test_graph_nodes(self):
+        # disc: -real, two softplus maps, their means and the sum; gen: -fake,
+        # one softplus map and its mean
+        real, fake = (Tensor(rand((1, 1, 4, 4), seed=s).data, requires_grad=True)
+                      for s in (5, 6))
+        gen, disc = L.adversarial_loss(real, fake)
+        assert len(topo_order(disc)) == 6
+        assert len(topo_order(gen)) == 3
 
 
 class TestCycle:

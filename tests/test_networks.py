@@ -45,16 +45,21 @@ class TestGenerator:
 class TestDiscriminator:
     def test_patch_map_shape_and_range(self):
         disc = Discriminator(seed=3, channels_base=4)
-        out = disc.forward(rand_img((1, 3, 64, 128), seed=4))
+        img = rand_img((1, 3, 64, 128), seed=4)
+        out = disc.forward(img)
         assert out.shape == (1, 1, 4, 8)
-        assert np.all((out.data > 0) & (out.data < 1))
+        # logits, not probabilities: nothing squashes the last conv's output
+        disc.params["c4.b"].data += 5.0
+        assert np.allclose(disc.forward(img).data, out.data + 5.0, atol=1e-5)
 
     def test_zero_parameters_give_half(self):
+        # logit 0 everywhere: a realness of one half
         disc = Discriminator(seed=3, channels_base=4)
         for p in disc.parameters().values():
             p.data = np.zeros_like(p.data)
         out = disc.forward(rand_img((1, 3, 64, 128), seed=5))
-        assert np.all(out.data == 0.5)
+        assert out.shape == (1, 1, 4, 8)
+        assert np.all(out.data == 0.0)
 
     def test_determinism(self):
         img = rand_img((1, 3, 32, 64), seed=6)
@@ -161,7 +166,7 @@ class TestTapeSize:
     inside it, never in a node of its own."""
 
     @pytest.mark.parametrize("name,nodes,convs", [
-        ("Generator", 17, 10), ("Discriminator", 6, 4), ("StereoNet", 36, 10),
+        ("Generator", 17, 10), ("Discriminator", 5, 4), ("StereoNet", 36, 10),
         ("FlowNet", 35, 10), ("Extractor", 8, 3)])
     def test_nodes_per_forward(self, name, nodes, convs):
         a = Tensor(rand_img((1, 3, 16, 32), seed=50).data, requires_grad=True)

@@ -13,10 +13,35 @@ from warpadapt.scenegen import (DomainShift, SceneSample, apply_domain_shift,
 from warpadapt.warping import warp
 
 
-def render(monkeypatch, seed, composite=scenegen._composite, **kwargs):
+class LayerCount:
+    """A scene's generator whose layer-count draw reads ``count`` and draws
+    nothing; every other draw is the generator's own."""
+
+    def __init__(self, rng, count):
+        self._rng, self._count = rng, count
+
+    def integers(self, *args):
+        assert args == (5, 11), "integers() is drawn only for the layer count"
+        return self._count
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def with_layers(monkeypatch, count):
+    """Make generate_scene sample ``count`` layers over the background."""
+    sample_layers = scenegen._sample_layers
+    monkeypatch.setattr(scenegen, "_sample_layers",
+                        lambda rng, *args: sample_layers(LayerCount(rng, count), *args))
+
+
+def render(monkeypatch, seed, composite=scenegen._composite, num_layers=None, **kwargs):
     """generate_scene through ``composite``, plus the (layers, owner-id map,
-    float64 image) of each view it composited: left, right, next frame."""
+    float64 image) of each view it composited: left, right, next frame. With
+    ``num_layers``, the scene has that many layers over its background."""
     views = []
+    if num_layers is not None:
+        with_layers(monkeypatch, num_layers)
 
     def recording(layers, xs, ys, offset_of):
         img, ids = composite(layers, xs, ys, offset_of)
@@ -74,8 +99,9 @@ class TestGenerate:
             mag = np.sqrt(s.flow[:, 0] ** 2 + s.flow[:, 1] ** 2)
             assert mag.max() <= 8
 
-    def test_single_layer_constant_disparity(self):
-        s = generate_scene(seed=3, width=64, height=32, num_layers=0)
+    def test_single_layer_constant_disparity(self, monkeypatch):
+        with_layers(monkeypatch, 0)
+        s = generate_scene(seed=3, width=64, height=32)
         assert np.all(s.disparity == s.disparity.reshape(-1)[0])
 
     def test_occlusion_fraction(self):
