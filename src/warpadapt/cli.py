@@ -18,8 +18,8 @@ from . import metrics as M
 from .autograd import Tensor, no_grad
 from .errors import ConfigError, FormatError, MetricError, NonFiniteError, UsageError
 from .scenegen import (SceneSample, apply_domain_shift, check_scene_params,
-                       generate_scene, read_dataset, sample_from_bytes,
-                       sample_to_bytes, shift_preset, split_domains, write_dataset)
+                       generate_scene, sample_from_bytes, sample_to_bytes,
+                       scan_dataset, shift_preset, write_dataset)
 from .trainer import (CONFIG_KEYS, _holdout, build_train_config, check_data_extent,
                       load_checkpoint, parse_config_text, run_training)
 
@@ -107,11 +107,10 @@ def cmd_train(args, extra) -> int:
 
 def cmd_eval(args) -> int:
     state = load_checkpoint(args.checkpoint)
-    samples = read_dataset(args.data)
-    _, real = split_domains(samples)
-    _, val = _holdout(real, state.config.val_count)
-    if not args.oracle:
-        check_data_extent(state.config, val)
+    _, real = scan_dataset(args.data)
+    val = list(_holdout(real, state.config.val_count)[1])
+    if val and not args.oracle:
+        check_data_extent(state.config, real.extent)
     d1_mode = args.d1_mode or state.config.d1_mode
     report = M.evaluate(state.nets, val, d1_mode=d1_mode, oracle=args.oracle,
                         config={"checkpoint": os.path.basename(args.checkpoint),

@@ -328,17 +328,34 @@ def write_dataset(samples, out_dir: str) -> list[str]:
     return names
 
 
-def read_dataset(data_dir: str) -> list[SceneSample]:
-    """The samples ``manifest.txt`` lists. Each line must name a plain file in
-    ``data_dir``, each sample must hold all six fields, and every field must
-    have the first sample's extent; else FormatError."""
+def _read_sample(data_dir: str, name: str, extent: tuple | None) -> SceneSample:
+    """The sample in file ``name``. It must hold all six fields, each of
+    ``extent`` (height, width), or of its own left frame's when that is None;
+    else FormatError."""
+    with open(os.path.join(data_dir, name), "rb") as fh:
+        sample = sample_from_bytes(fh.read(), label=name)
+    arrays = [getattr(sample, f) for f in FIELD_ORDER]
+    missing = [f for f, a in zip(FIELD_ORDER, arrays) if a is None]
+    if missing:
+        raise FormatError(f"{name}: a dataset sample needs all six fields, "
+                          f"{missing[0]} is missing")
+    h, w = extent or sample.left.shape[2:]
+    if any(a.shape[2:] != (h, w) for a in arrays):
+        raise FormatError(f"{name}: a field's extent is not the first sample's {w}x{h}")
+    return sample
+
+
+def _checked_samples(data_dir: str):
+    """(file name, sample) for each sample ``manifest.txt`` lists, read one at
+    a time. Each line must name a plain file in ``data_dir``, and each sample
+    must pass ``_read_sample`` at the first sample's extent; else FormatError."""
     manifest = os.path.join(data_dir, "manifest.txt")
     if not os.path.exists(manifest):
         raise FormatError(f"no manifest.txt in {data_dir}")
     with open(manifest, "rb") as fh:
         raw = fh.read()
     lines = Reader(raw, "manifest.txt").text(len(raw)).splitlines()
-    samples = []
+    extent = None
     for number, line in enumerate(lines, 1):
         name = line.strip()
         if not name:
@@ -346,18 +363,50 @@ def read_dataset(data_dir: str) -> list[SceneSample]:
         if name in (".", "..") or {"\0", "/", os.sep} & set(name):
             raise FormatError(f"manifest.txt: line {number} names {name!r}, which is not "
                               "a plain file name in the data directory")
-        with open(os.path.join(data_dir, name), "rb") as fh:
-            sample = sample_from_bytes(fh.read(), label=name)
-        arrays = [getattr(sample, f) for f in FIELD_ORDER]
-        missing = [f for f, a in zip(FIELD_ORDER, arrays) if a is None]
-        if missing:
-            raise FormatError(f"{name}: a dataset sample needs all six fields, "
-                              f"{missing[0]} is missing")
-        h, w = (samples[0] if samples else sample).left.shape[2:]
-        if any(a.shape[2:] != (h, w) for a in arrays):
-            raise FormatError(f"{name}: a field's extent is not the first sample's {w}x{h}")
-        samples.append(sample)
-    return samples
+        sample = _read_sample(data_dir, name, extent)
+        extent = sample.left.shape[2:]
+        yield name, sample
+
+
+def read_dataset(data_dir: str) -> list[SceneSample]:
+    """The samples ``manifest.txt`` lists, checked as ``_checked_samples`` does."""
+    return [sample for _, sample in _checked_samples(data_dir)]
+
+
+class SampleFiles:
+    """The dataset samples of one domain, read from their files when indexed.
+
+    A slice is another SampleFiles. Each read checks the file again, so one
+    that is gone, or no longer holds a sample of this domain and extent,
+    raises OSError or FormatError with its name.
+    """
+
+    def __init__(self, data_dir: str, names: list, domain: str, extent: tuple | None):
+        self.data_dir, self.names, self.domain, self.extent = data_dir, names, domain, extent
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SampleFiles(self.data_dir, self.names[index], self.domain, self.extent)
+        name = self.names[index]
+        sample = _read_sample(self.data_dir, name, self.extent)
+        if sample.domain != self.domain:
+            raise FormatError(f"{name}: now a {sample.domain} sample, but it was "
+                              f"{self.domain} when the dataset was checked")
+        return sample
+
+
+def scan_dataset(data_dir: str) -> tuple[SampleFiles, SampleFiles]:
+    """(synthetic, real): every sample checked as ``read_dataset`` checks it,
+    but only its file name and domain kept, with the first sample's extent."""
+    names = {domain: [] for domain in DOMAIN_TAGS}
+    extent = None
+    for name, sample in _checked_samples(data_dir):
+        names[sample.domain].append(name)
+        extent = sample.left.shape[2:]
+    return tuple(SampleFiles(data_dir, names[d], d, extent) for d in DOMAIN_TAGS)
 
 
 def split_domains(samples):

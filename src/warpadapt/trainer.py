@@ -5,7 +5,10 @@ then generators) while the task networks only provide frozen context; the
 other iterations update the stereo and flow networks on translated synthetic
 batches plus real-image feature warping, with the translation module frozen.
 Freezing is enforced structurally: frozen passes run without graph recording,
-so their parameters can never accumulate gradients.
+so their parameters can never accumulate gradients. The stereo and flow
+networks train on separate objectives, so a task step builds and walks one
+network's graph at a time. A run keeps only the real validation samples in
+memory and reads each batch's samples from their files.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .autograd import Tensor, backward, concat, no_grad, split, zero_grads
 from .dataio import CHECKPOINT_MAGIC, Reader, pack_tensor
 from .errors import ConfigError, FormatError, NonFiniteError, UsageError
 from .networks import Discriminator, Extractor, FlowNet, Generator, StereoNet
-from .scenegen import FIELD_ORDER, read_dataset, split_domains
+from .scenegen import FIELD_ORDER, scan_dataset
 from .warping import multiscale_warp_loss
 
 CHECKPOINT_VERSION = 4
@@ -267,29 +270,41 @@ def make_batch(samples, indices):
 
 # -- the two step kinds --------------------------------------------------------------
 
-def _optimize(state: TrainState, loss: Tensor, terms: dict, *stepped: str) -> None:
-    """Backpropagate ``loss`` and step only the named optimizers; every
+def _optimize(state: TrainState, builds, *stepped: str) -> list:
+    """Build and walk the sub-step's graphs one at a time, then step only the
+    named optimizers. Each of ``builds`` returns (loss, terms): a scalar loss
+    and the terms it is built from. Its graph is walked before the next one is
+    built, so the sub-step holds one graph at a time, and graphs that share no
+    interior node leave the gradients one walk of their sum would. Every
     optimizer's gradients are cleared before and after, so nothing carries
-    over into the next sub-step. A NaN or infinity in ``loss``, in one of the
-    ``terms`` it is built from or in a stepped optimizer's gradient raises
-    NonFiniteError before any optimizer steps."""
-    bad = [key for key, term in terms.items() if not np.isfinite(term.data).all()]
-    if bad or not np.isfinite(loss.data).all():
-        raise NonFiniteError(f"iteration {state.iteration}: non-finite loss "
-                             f"({', '.join(bad) or 'the weighted sum'})")
+    over into the next sub-step. A NaN or infinity in a loss, in one of its
+    terms or in a stepped optimizer's gradient raises NonFiniteError before
+    any optimizer steps, and leaves no gradient behind. Returns the (loss,
+    terms) pairs."""
+    built = []
     for opt in state.opts.values():
         opt.zero_grad()
-    backward(loss)
-    bad = [name for name in stepped
-           if not all(p.grad is None or np.isfinite(p.grad).all()
-                      for p in state.opts[name].params.values())]
-    if bad:
-        raise NonFiniteError(f"iteration {state.iteration}: non-finite gradient "
-                             f"of the {', '.join(bad)} parameters")
-    for name in stepped:
-        state.opts[name].step()
-    for opt in state.opts.values():
-        opt.zero_grad()
+    try:
+        for build in builds:
+            loss, terms = build()
+            bad = [key for key, term in terms.items() if not np.isfinite(term.data).all()]
+            if bad or not np.isfinite(loss.data).all():
+                raise NonFiniteError(f"iteration {state.iteration}: non-finite loss "
+                                     f"({', '.join(bad) or 'the weighted sum'})")
+            backward(loss)
+            built.append((loss, terms))
+        bad = [name for name in stepped
+               if not all(p.grad is None or np.isfinite(p.grad).all()
+                          for p in state.opts[name].params.values())]
+        if bad:
+            raise NonFiniteError(f"iteration {state.iteration}: non-finite gradient "
+                                 f"of the {', '.join(bad)} parameters")
+        for name in stepped:
+            state.opts[name].step()
+    finally:
+        for opt in state.opts.values():
+            opt.zero_grad()
+    return built
 
 
 def _zero() -> Tensor:
@@ -323,7 +338,7 @@ def translation_step(state: TrainState, syn: dict, real: dict) -> dict:
     d_fake_a = da.forward(fy_l.detach())
     _, disc_a = L.adversarial_loss(d_real_a, d_fake_a)
     disc_terms = {"adv_syn2real_disc": disc_b, "adv_real2syn_disc": disc_a}
-    _optimize(state, disc_b + disc_a, disc_terms, "disc")
+    _optimize(state, [lambda: (disc_b + disc_a, disc_terms)], "disc")
 
     # generator sub-step against the updated discriminators
     adv_a2b, _ = L.adversarial_loss(d_real_b.detach(),
@@ -349,7 +364,7 @@ def translation_step(state: TrainState, syn: dict, real: dict) -> dict:
                                lambda: L.mode_seeking_loss(fx_l, fx_t1, x_l, x_t1)),
     }
     total, translation = L.translation_objective(parts, w)
-    _optimize(state, total, parts, "gen")
+    _optimize(state, [lambda: (total, parts)], "gen")
 
     return {**parts, **disc_terms, "translation": translation, "translation_total": total}
 
@@ -360,6 +375,10 @@ def _maybe(weight: float, fn):
 
 
 def task_step(state: TrainState, syn: dict, real: dict | None) -> dict:
+    """Train the stereo and flow networks on their own objectives: each
+    network's graph is built and walked before the other's, and both step
+    only after both walks. Translated frames and generator taps are computed
+    without a graph, so the two graphs share no interior node."""
     nets, cfg = state.nets, state.config
     w = cfg.weights
     source_only = cfg.objective == "source_only"
@@ -371,32 +390,32 @@ def task_step(state: TrainState, syn: dict, real: dict | None) -> dict:
         with no_grad():
             frames = concat([syn["left"], syn["right"], syn["next_left"]], axis=0)
             tx_l, tx_r, tx_t1 = split(nets["gen_a2b"].translate(frames), 3)
+            ys = (real["left"], real["right"], real["next_left"])
+            _, taps = nets["gen_b2a"].forward(concat(ys, axis=0), need_output=False)
+            bys = list(zip(*(split(t, 3) for t in taps)))
 
-    stages_d = nets["stereo"].forward(tx_l, tx_r)
-    disp_sup = L.supervised_disp_loss(stages_d, syn["disparity"], cfg.gamma_stages)
-    stages_f = nets["flow"].forward(tx_l, tx_t1)
-    flow_sup = L.supervised_flow_loss(stages_f, syn["flow"], syn["occlusion"],
-                                      cfg.gamma_stages)
+    def real_warp(weight, net, i):
+        """``net``'s feature-warping term on the real left frame and frame ``i``."""
+        if source_only:
+            return _zero()
+        return _maybe(weight, lambda: multiscale_warp_loss(
+            net.forward(ys[0], ys[i])[-1], [(bys[0], bys[i], -1), (bys[i], bys[0], 1)]))
 
-    disp_warp = flow_warp = _zero()
-    if not source_only:
-        y_l, y_r, y_t1 = real["left"], real["right"], real["next_left"]
-        with no_grad():
-            _, taps = nets["gen_b2a"].forward(concat([y_l, y_r, y_t1], axis=0), need_output=False)
-            by_l, by_r, by_t1 = zip(*(split(t, 3) for t in taps))
-        disp_warp = _maybe(w.lambda_disp_warp_real, lambda: multiscale_warp_loss(
-            nets["stereo"].forward(y_l, y_r)[-1], [(by_l, by_r, -1), (by_r, by_l, 1)]))
-        flow_warp = _maybe(w.lambda_flow_warp_real, lambda: multiscale_warp_loss(
-            nets["flow"].forward(y_l, y_t1)[-1], [(by_l, by_t1, -1), (by_t1, by_l, 1)]))
+    def stereo():
+        terms = {"disp_supervised": L.supervised_disp_loss(
+                     nets["stereo"].forward(tx_l, tx_r), syn["disparity"], cfg.gamma_stages),
+                 "disp_warp_real": real_warp(w.lambda_disp_warp_real, nets["stereo"], 1)}
+        return L.stereo_objective(terms, w), terms
 
-    parts = {"disp_supervised": disp_sup, "disp_warp_real": disp_warp,
-             "flow_supervised": flow_sup, "flow_warp_real": flow_warp}
-    total_d = L.stereo_objective(parts, w)
-    total_f = L.flow_objective(parts, w)
+    def flow():
+        terms = {"flow_supervised": L.supervised_flow_loss(
+                     nets["flow"].forward(tx_l, tx_t1), syn["flow"], syn["occlusion"],
+                     cfg.gamma_stages),
+                 "flow_warp_real": real_warp(w.lambda_flow_warp_real, nets["flow"], 2)}
+        return L.flow_objective(terms, w), terms
 
-    _optimize(state, total_d + total_f, parts, "stereo", "flow")
-
-    return {**parts, "stereo_total": total_d, "flow_total": total_f}
+    (total_d, terms_d), (total_f, terms_f) = _optimize(state, (stereo, flow), "stereo", "flow")
+    return {**terms_d, **terms_f, "stereo_total": total_d, "flow_total": total_f}
 
 
 def train_step(state: TrainState, syn: dict, real: dict | None) -> dict:
@@ -529,7 +548,7 @@ def format_log_line(iteration: int, breakdown: dict) -> str:
     return "\t".join(parts)
 
 
-def _holdout(samples: list, val_count: int) -> tuple:
+def _holdout(samples, val_count: int) -> tuple:
     """(training, validation): the tail ``val_count`` samples validate, or all when 0."""
     return (samples[:-val_count], samples[-val_count:]) if val_count else (samples, samples)
 
@@ -539,15 +558,13 @@ def _holdout(samples: list, val_count: int) -> tuple:
 RANGE_RULE = "the networks need width > max_disp, width > max_flow and height > max_flow"
 
 
-def check_data_extent(config: TrainConfig, samples: list) -> None:
-    """Raise ConfigError unless the config's correlation ranges fit the extent
-    of ``samples``, which all share the first one's extent."""
-    if not samples:
-        return
-    h, w = samples[0].left.shape[2:]
-    for key, extent in (("max_disp", w), ("max_flow", w), ("max_flow", h)):
+def check_data_extent(config: TrainConfig, extent: tuple) -> None:
+    """Raise ConfigError unless the config's correlation ranges fit the data's
+    ``extent`` (height, width)."""
+    h, w = extent
+    for key, size in (("max_disp", w), ("max_flow", w), ("max_flow", h)):
         value = getattr(config, key)
-        if value >= extent:
+        if value >= size:
             raise ConfigError(f"{key} {value} does not fit the data's {w}x{h} extent: "
                               f"{RANGE_RULE}")
 
@@ -558,19 +575,21 @@ def run_training(config: TrainConfig, data_dir: str, out_dir: str,
 
     Writes ``train.log`` and ``checkpoint_final.wck`` into ``out_dir``; a run
     that stops on an error writes ``train.log`` alone. The validation split is
-    the tail ``val_count`` samples of each domain; only the real half is scored.
+    the tail ``val_count`` samples of each domain; only the real half is scored,
+    and only it is held in memory. Every sample is checked before ``out_dir``
+    is made; each batch then reads its samples from their files.
     """
     state = load_checkpoint(resume, config) if resume else init_state(config)
 
-    samples = read_dataset(data_dir)
-    synthetic, real = split_domains(samples)
+    synthetic, real = scan_dataset(data_dir)
     if not synthetic or not real:
         raise UsageError("dataset must contain both synthetic and real samples")
-    check_data_extent(config, samples)
+    check_data_extent(config, synthetic.extent)
     syn_train, _ = _holdout(synthetic, config.val_count)
     real_train, real_val = _holdout(real, config.val_count)
     if not syn_train or not real_train:
         raise UsageError(f"val_count={config.val_count} leaves no training data")
+    real_val = list(real_val)
     if config.objective == "full" and config.total_iters % config.k:
         warnings.warn(f"total_iters={config.total_iters} is not a multiple of "
                       f"k={config.k}; the last alternation window is partial")
@@ -591,11 +610,13 @@ def run_training(config: TrainConfig, data_dir: str, out_dir: str,
             it = state.iteration
             syn_idx = _batch_indices(len(syn_train), config.batch_size, config.seed, 1, it)
             real_idx = _batch_indices(len(real_train), config.batch_size, config.seed, 2, it)
+            # source_only steps read no real batch
+            real_batch = (make_batch(real_train, real_idx) if config.objective == "full"
+                          else None)
             # a diverging step stops on its non-finite loss or gradient alone,
             # without a numpy warning for each overflow on the way
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                breakdown = train_step(state, make_batch(syn_train, syn_idx),
-                                       make_batch(real_train, real_idx))
+                breakdown = train_step(state, make_batch(syn_train, syn_idx), real_batch)
             log_lines.append(format_log_line(it, breakdown))
             if config.eval_every and state.iteration % config.eval_every == 0 \
                     and state.iteration < config.total_iters:

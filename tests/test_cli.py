@@ -511,6 +511,48 @@ class TestIncompleteOrNonFiniteData:
                                            f"at byte {at}\n")
 
 
+class TestChangedDuringRun:
+    """``train`` checks every sample before it starts, then reads each batch's
+    samples from their files: a training sample that is deleted after the
+    check, or rewritten with another extent or domain, stops the run with
+    exit 3 and one stderr line naming it."""
+
+    EDITS = {
+        "deleted": None,
+        "other_extent": generate_scene(53, width=64, height=32, max_disp=8, max_flow=4),
+        "other_domain": replace(generate_scene(53, width=32, height=16, max_disp=8,
+                                               max_flow=4), domain="real"),
+    }
+
+    @pytest.mark.parametrize("edit", list(EDITS))
+    def test_exits_3_naming_the_file(self, small_run, tmp_path, capsys, monkeypatch, edit):
+        from warpadapt import trainer
+        data = str(tmp_path / "data")
+        shutil.copytree(small_run["data"], data)
+        path = os.path.join(data, "sample_00000.wad")   # synthetic, a training sample
+        scan = trainer.scan_dataset
+
+        def scan_then_edit(data_dir):
+            checked = scan(data_dir)
+            if self.EDITS[edit] is None:
+                os.remove(path)
+            else:
+                with open(path, "wb") as fh:
+                    fh.write(sample_to_bytes(self.EDITS[edit]))
+            return checked
+
+        monkeypatch.setattr(trainer, "scan_dataset", scan_then_edit)
+        # every training sample lands in the one batch of the one step
+        argv = ["train", "--data", data, "--out", str(tmp_path / "o"), "--total_iters", "1",
+                "--k", "1", "--batch_size", "3", "--channels_base", "4", "--max_disp", "8",
+                "--max_flow", "4", "--val_count", "1", "--eval_every", "0"]
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "sample_00000.wad" in err and "Traceback" not in err
+
+
 def cropped(scene, height, width):
     """``scene`` with every field cropped to ``height`` x ``width``."""
     return SceneSample(**{k: v[:, :, :height, :width] if isinstance(v, np.ndarray) else v

@@ -498,7 +498,7 @@ class TestNonFinite:
         loss = (p * 0.0).sum() + nan
         with pytest.raises(NonFiniteError,
                            match=r"iteration 4: non-finite loss \(disp_supervised\)"):
-            T._optimize(state, loss, {"disp_supervised": nan}, "stereo")
+            T._optimize(state, [lambda: (loss, {"disp_supervised": nan})], "stereo")
         assert p.grad is None
         self._assert_nothing_stepped(state, before)
 
@@ -511,7 +511,7 @@ class TestNonFinite:
         before = p.data.copy()
         loss = K.sqrt((p * 0.0).sum())
         with pytest.raises(NonFiniteError, match="iteration 0: non-finite gradient of the stereo"):
-            T._optimize(state, loss, {"disp_supervised": loss}, "stereo", "flow")
+            T._optimize(state, [lambda: (loss, {"disp_supervised": loss})], "stereo", "flow")
         self._assert_nothing_stepped(state, before)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -533,3 +533,131 @@ class TestSourceOnly:
         fresh = T.init_state(cfg)
         assert T.param_digest(state.nets["gen_a2b"]) == T.param_digest(fresh.nets["gen_a2b"])
         assert T.param_digest(state.nets["stereo"]) != T.param_digest(fresh.nets["stereo"])
+
+
+class TestTaskGraphs:
+    """A task step builds and walks the stereo graph, then the flow graph."""
+
+    @staticmethod
+    def _batches():
+        syn = [generate_scene(i, width=32, height=16, max_disp=8, max_flow=4) for i in range(2)]
+        real = [apply_domain_shift(generate_scene(10 + i, width=32, height=16, max_disp=8,
+                                                  max_flow=4), shift_preset("mild"), seed=i)
+                for i in range(2)]
+        return T.make_batch(syn, [0, 1]), T.make_batch(real, [0, 1])
+
+    @staticmethod
+    def _stepped_grads(monkeypatch):
+        """Per optimizer step, in order, copies of its parameters' gradients."""
+        steps = []
+        update = T.adam_update
+
+        def recording(opt, *args):
+            steps.append({name: p.grad.copy() for name, p in opt.params.items()})
+            return update(opt, *args)
+
+        monkeypatch.setattr(T, "adam_update", recording)
+        return steps
+
+    @pytest.mark.parametrize("objective", ["full", "source_only"])
+    def test_each_walk_reaches_one_task_net(self, monkeypatch, objective):
+        from warpadapt.autograd import topo_order
+        state = T.init_state(tiny_config(objective=objective, batch_size=2))
+        syn, real = self._batches()
+        owners = {id(p): net_name for net_name, net in state.nets.items()
+                  for p in net.parameters().values()}
+        walks = []
+        walk = T.backward
+
+        def recording(loss):
+            leaves = {id(p) for node in topo_order(loss) for p in node._parents}
+            walks.append({owners[i] for i in leaves if i in owners})
+            return walk(loss)
+
+        monkeypatch.setattr(T, "backward", recording)
+        T.task_step(state, syn, real if objective == "full" else None)
+        assert walks == [{"stereo"}, {"flow"}]
+
+    @pytest.mark.parametrize("objective", ["full", "source_only"])
+    def test_gradients_equal_one_joint_walk(self, monkeypatch, objective):
+        cfg = tiny_config(objective=objective, batch_size=2)
+        syn, real = self._batches()
+        real = real if objective == "full" else None
+        steps = self._stepped_grads(monkeypatch)
+        T.task_step(T.init_state(cfg), syn, real)
+        apart = list(steps)
+
+        def joint(state, builds, *stepped):
+            built = [build() for build in builds]
+            (total_d, _), (total_f, _) = built
+            T.backward(total_d + total_f)
+            for name in stepped:
+                state.opts[name].step()
+            return built
+
+        steps.clear()
+        monkeypatch.setattr(T, "_optimize", joint)
+        T.task_step(T.init_state(cfg), syn, real)
+        assert len(apart) == len(steps) == 2
+        for walked, together in zip(apart, steps):
+            assert walked.keys() == together.keys()
+            for name, g in together.items():
+                assert g.dtype == walked[name].dtype and np.array_equal(g, walked[name]), name
+
+    def test_non_finite_second_graph_leaves_no_gradient(self):
+        state = T.init_state(tiny_config())
+        stereo, flow = (state.nets[n].parameters()["df.w"] for n in ("stereo", "flow"))
+        nan = Tensor(np.full((1, 1, 1, 1), np.nan, dtype=np.float32))
+        with pytest.raises(NonFiniteError, match=r"non-finite loss \(flow_supervised\)"):
+            T._optimize(state, [lambda: ((stereo * 1.0).sum(), {}),
+                                lambda: ((flow * 0.0).sum() + nan, {"flow_supervised": nan})],
+                        "stereo", "flow")
+        assert stereo.grad is None and flow.grad is None
+        assert all(opt.t == 0 for opt in state.opts.values())
+
+
+class TestStreaming:
+    """A run checks every sample first, then reads each batch's samples from
+    their files and holds only the real validation samples."""
+
+    @staticmethod
+    def _peak_bytes(tmp_path, scenes):
+        import tracemalloc
+        data = tiny_dataset(tmp_path / str(scenes), n_train=scenes - 2, n_val=2)
+        cfg = tiny_config(total_iters=2, k=2, batch_size=2, val_count=2)
+        tracemalloc.start()
+        try:
+            T.run_training(cfg, data, str(tmp_path / f"o{scenes}"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_does_not_grow_with_the_data(self, tmp_path):
+        sample_bytes = os.path.getsize(tiny_dataset(tmp_path / "one", 1, 0) + "/sample_00000.wad")
+        self._peak_bytes(tmp_path / "warm", 4)
+        small = self._peak_bytes(tmp_path, 4)
+        large = self._peak_bytes(tmp_path, 24)
+        assert abs(large - small) < 2 * sample_bytes, (small, large, sample_bytes)
+
+    def test_val_count_0_scores_every_real_sample(self, tmp_path):
+        from warpadapt import metrics as M
+        from warpadapt.scenegen import read_dataset, split_domains
+        data = tiny_dataset(tmp_path, n_train=3, n_val=0)
+        cfg = tiny_config(total_iters=4, k=2, batch_size=2, val_count=0)
+        out = tmp_path / "o"
+        _, _, report = T.run_training(cfg, data, str(out))
+        assert report.sample_count == 3
+
+        # the same run with every sample in memory
+        syn, real = split_domains(read_dataset(data))
+        state = T.init_state(cfg)
+        for it in range(cfg.total_iters):
+            si = T._batch_indices(len(syn), cfg.batch_size, cfg.seed, 1, it)
+            ri = T._batch_indices(len(real), cfg.batch_size, cfg.seed, 2, it)
+            T.train_step(state, T.make_batch(syn, si), T.make_batch(real, ri))
+        want = M.evaluate(state.nets, real, d1_mode=cfg.d1_mode,
+                          config={"iteration": state.iteration, "seed": cfg.seed})
+        assert report.to_text() == want.to_text()
+        T.save_checkpoint(state, str(tmp_path / "in_memory.wck"))
+        assert (out / "checkpoint_final.wck").read_bytes() == \
+            (tmp_path / "in_memory.wck").read_bytes()
