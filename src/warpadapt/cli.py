@@ -68,16 +68,14 @@ def cmd_generate(args) -> int:
             raise ConfigError(f"{name} must be >= 0, got {getattr(args, name)}")
     check_scene_params(args.width, args.height, args.max_disp, args.max_flow)
     shift = shift_preset(args.shift_preset)
-    samples = []
-    for i in range(args.count):
-        samples.append(generate_scene(args.seed + i, width=args.width,
-                                      height=args.height, max_disp=args.max_disp,
-                                      max_flow=args.max_flow))
-    for i in range(args.count):
-        scene = generate_scene(args.seed + args.count + i, width=args.width,
-                               height=args.height, max_disp=args.max_disp,
-                               max_flow=args.max_flow)
-        samples.append(apply_domain_shift(scene, shift, seed=args.seed + i))
+
+    def scene(i):
+        return generate_scene(args.seed + i, width=args.width, height=args.height,
+                              max_disp=args.max_disp, max_flow=args.max_flow)
+
+    samples = [scene(i) if i < args.count
+               else apply_domain_shift(scene(i), shift, seed=args.seed + i - args.count)
+               for i in range(2 * args.count)]
     write_dataset(samples, args.out)
     print(f"wrote {args.count} synthetic + {args.count} real samples "
           f"({args.width}x{args.height}, max_disp {args.max_disp}, "
@@ -135,24 +133,20 @@ def cmd_translate(args) -> int:
         print(f"warning: direction {args.direction} expects a {expected} sample, "
               f"got {sample.domain}; proceeding", file=sys.stderr)
 
-    image = Tensor(sample.left)
     ga, gb = state.nets["gen_a2b"], state.nets["gen_b2a"]
+    # each image written, as (stem, generator applied to the one before or None, domain)
+    images = {"a2b": [("input", None, sample.domain), ("output", ga, "real")],
+              "b2a": [("input", None, sample.domain), ("output", gb, "synthetic")],
+              "cycle": [("original", None, sample.domain), ("fake_synthetic", gb, "synthetic"),
+                        ("reconstructed", ga, "real")]}[args.direction]
+    image = Tensor(sample.left)
     with no_grad():
-        if args.direction == "a2b":
-            out = ga.translate(image)
-            _write_image_pair(args.out, "input", sample.left, sample.domain)
-            _write_image_pair(args.out, "output", out.data, "real")
-        elif args.direction == "b2a":
-            out = gb.translate(image)
-            _write_image_pair(args.out, "input", sample.left, sample.domain)
-            _write_image_pair(args.out, "output", out.data, "synthetic")
-        else:
-            fake = gb.translate(image)
-            rec = ga.translate(fake)
-            _write_image_pair(args.out, "original", sample.left, sample.domain)
-            _write_image_pair(args.out, "fake_synthetic", fake.data, "synthetic")
-            _write_image_pair(args.out, "reconstructed", rec.data, "real")
-            print(f"reconstruction psnr={M.psnr(rec.data, sample.left):.6g}")
+        for stem, gen, domain in images:
+            if gen is not None:
+                image = gen.translate(image)
+            _write_image_pair(args.out, stem, image.data, domain)
+    if args.direction == "cycle":
+        print(f"reconstruction psnr={M.psnr(image.data, sample.left):.6g}")
     print(f"wrote {args.direction} translation of {args.sample} to {args.out}")
     return EXIT_OK
 

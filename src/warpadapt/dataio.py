@@ -7,6 +7,7 @@ truncation, corruption and a NaN or infinity surface with the exact position.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -74,7 +75,7 @@ class Reader:
         if rank != 4:
             raise FormatError(f"{self.label}: rank {rank} at byte {at}, expected 4")
         shape = tuple(self.u32() for _ in range(4))
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # numpy's int64 product can wrap
         start = self.off
         arr = np.frombuffer(self.take(4 * count), dtype="<f4")
         finite = np.isfinite(arr)

@@ -4,7 +4,7 @@ Each kernel pairs a forward rule with a matched backward rule; the cosine map
 is assembled from primitives and differentiates through the graph. Each map
 that compares two images (SSIM, |a - b|, (a - b)^2, smooth-L1) is one node
 that holds only its output: its backward pass reads its inputs again, and
-SSIM's recomputes its window moments and differentiates in closed form.
+SSIM's reruns its forward pass's moment pass and differentiates in closed form.
 
 conv2d and conv_transpose2d share one core of one GEMM per kernel tap: a
 gather, which correlates an input with a kernel at stride s and, on the same
@@ -24,7 +24,7 @@ GEMM. Either convolution may end in a LeakyReLU (``slope``), applied in place
 on the biased output it allocates, so a layer is one tape node holding one
 activation; its backward pass reads the pre-activation's sign from the
 output's, which agree for a slope in (0, 1], and feeds the masked gradient to
-the bias, weight and input gradients. The Gaussian blur under SSIM is a
+the bias, weight and input gradients. SSIM's fixed-window Gaussian blur is a
 product with a cached banded matrix per axis, and is its own adjoint.
 grid_sample reads its input at each pixel moved by a (b, 1 or 2, h, w) offset
 in pixels; a 1-channel offset moves along x alone and reads two taps, not four.
@@ -417,6 +417,7 @@ def _along(axis: int, index) -> tuple:
 # costs at most BLUR_TILE + size - 1 multiply-adds however long the axis is.
 
 BLUR_TILE = 32
+SSIM_WINDOW, SSIM_SIGMA = 11, 1.5
 
 
 def _gaussian_window(size: int, sigma: float, dtype) -> np.ndarray:
@@ -453,17 +454,15 @@ def _blur_along(v: np.ndarray, band: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _blur(v: np.ndarray, size: int, sigma: float) -> np.ndarray:
+def _blur(v: np.ndarray, size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
     bh, bw = (_blur_band(min(n, BLUR_TILE), size, sigma, v.dtype) for n in v.shape[2:])
     return _blur_along(_blur_along(v, bh, 2), bw, 3)
 
 
-def gaussian_blur(x: Tensor, size: int = 11, sigma: float = 1.5) -> Tensor:
-    """Depthwise Gaussian blur, zero padding, unit-sum window."""
-    if size % 2 != 1 or size < 3:
-        raise UsageError("window size must be odd and >= 3")
+def gaussian_blur(x: Tensor) -> Tensor:
+    """Depthwise Gaussian blur with SSIM's window, zero padding, unit sum."""
     # symmetric window + zero padding: the adjoint of the blur is the blur
-    return result(_blur(x.data, size, sigma), (x,), lambda g: (_blur(g, size, sigma),))
+    return result(_blur(x.data), (x,), lambda g: (_blur(g),))
 
 
 # -- resampling ---------------------------------------------------------------
@@ -653,75 +652,58 @@ SSIM_C1 = 0.01 ** 2
 SSIM_C2 = 0.03 ** 2
 
 
-def ssim_map(a: Tensor, b: Tensor, size: int = 11, sigma: float = 1.5) -> Tensor:
-    """Per-pixel structural similarity with an 11x1.5 Gaussian window.
+def _ssim_terms(va: np.ndarray, vb: np.ndarray, blur) -> tuple:
+    """(mu_a, mu_b, A1, A2, B1, B2) of ssim_map, each moment taken through ``blur``."""
+    mu_a, mu_b = blur(va), blur(vb)
+    b2 = (blur(va * va) - mu_a * mu_a) + (blur(vb * vb) - mu_b * mu_b) + SSIM_C2
+    a2 = 2.0 * (blur(va * vb) - mu_a * mu_b) + SSIM_C2
+    # the last two in place, so that at most six maps are live
+    b1 = mu_a * mu_a
+    b1 += mu_b * mu_b
+    b1 += SSIM_C1
+    a1 = mu_a * mu_b
+    a1 *= 2.0
+    a1 += SSIM_C1
+    return mu_a, mu_b, a1, a2, b1, b2
+
+
+def ssim_map(a: Tensor, b: Tensor) -> Tensor:
+    """Per-pixel structural similarity over the fixed Gaussian window.
 
     Constants use dynamic range 1.0 (images live in [0, 1]). Identical inputs
     give a map of exactly 1. With G the blur, mu_x = G[x] and the window
     moments s_xy = G[xy] - mu_x mu_y, the map is S = A1 A2 / (B1 B2) for
     A1 = 2 mu_a mu_b + C1, A2 = 2 s_ab + C2, B1 = mu_a^2 + mu_b^2 + C1 and
-    B2 = s_aa + s_bb + C2. It is one node holding S alone: the forward pass
-    works in place, and the backward pass recomputes the moments and
+    B2 = s_aa + s_bb + C2. It is one node holding S alone. Both passes take
+    the means and the factors from _ssim_terms, and the backward pass
     differentiates S in closed form (G is its own adjoint).
     """
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch {a.shape} vs {b.shape}")
-    va, vb = a.data, b.data
-    dt = np.result_type(va, vb).type
-    c1, c2, two = dt(SSIM_C1), dt(SSIM_C2), dt(2.0)
-
-    def blur(v):
-        # the public blur, on an untaped tensor: it records no node
-        return gaussian_blur(Tensor(v), size, sigma).data
-
-    mu_a, mu_b = blur(va), blur(vb)
-    b2 = blur(va * va)
-    b2 -= mu_a * mu_a
-    var_b = blur(vb * vb)
-    var_b -= mu_b * mu_b
-    b2 += var_b
-    del var_b  # before the last blur, so that at most six maps are live
-    b2 += c2
-    a2 = blur(va * vb)
-    s = mu_a * mu_b
-    a2 -= s
-    a2 *= two
-    a2 += c2
-    s *= two
-    s += c1
+    # the public blur, on untaped tensors: it records no node
+    _, _, s, a2, b1, b2 = _ssim_terms(a.data, b.data, lambda v: gaussian_blur(Tensor(v)).data)
     s *= a2  # A1 A2
-    mu_a *= mu_a
-    mu_b *= mu_b
-    mu_a += mu_b
-    mu_a += c1
-    mu_a *= b2  # B1 B2
-    s /= mu_a
+    b1 *= b2  # B1 B2
+    s /= b1
 
     def backward(g):
-        def blur(v):
-            return _blur(v, size, sigma)
-
         va, vb = a.data, b.data
-        mu_a, mu_b = blur(va), blur(vb)
-        b1 = mu_a * mu_a + mu_b * mu_b + SSIM_C1
-        b2 = blur(va * va) - mu_a * mu_a + blur(vb * vb) - mu_b * mu_b + SSIM_C2
-        gs = g * s
-        # the gradient at B1, B2, A1 and A2
-        gb1, gb2 = -gs / b1, -gs / b2
+        mu_a, mu_b, a1, a2, b1, b2 = _ssim_terms(va, vb, _blur)
+        # the gradient at A1, A2, B1 and B2
         gs = g / (b1 * b2)
-        del b1, b2
-        ab = mu_a * mu_b
-        ga1 = gs * (2.0 * (blur(va * vb) - ab) + SSIM_C2)
-        ga2 = gs * (2.0 * ab + SSIM_C1)
-        del gs, ab
+        ga1, ga2 = gs * a2, gs * a1
+        del a1, a2
+        gs = -g * s
+        gb1, gb2 = gs / b1, gs / b2
+        del gs, b1, b2
         u = 2.0 * (ga1 - ga2)  # at mu_a mu_b
         v = 2.0 * (gb1 - gb2)  # twice that at mu_a^2, and at mu_b^2
         del ga1, gb1
-        q = blur(gb2)  # at a^2 and at b^2
-        r = blur(2.0 * ga2)  # at ab
+        q = _blur(gb2)  # at a^2 and at b^2
+        r = _blur(2.0 * ga2)  # at ab
         del ga2, gb2
-        da = blur(mu_b * u + mu_a * v) + 2.0 * va * q + vb * r if a.requires_grad else None
-        db = blur(mu_a * u + mu_b * v) + 2.0 * vb * q + va * r if b.requires_grad else None
+        da = _blur(mu_b * u + mu_a * v) + 2.0 * va * q + vb * r if a.requires_grad else None
+        db = _blur(mu_a * u + mu_b * v) + 2.0 * vb * q + va * r if b.requires_grad else None
         return da, db
 
     return result(s, (a, b), backward)

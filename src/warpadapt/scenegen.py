@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -51,16 +51,9 @@ class SceneSample:
 @dataclass
 class DomainShift:
     gamma_curve: float = 1.0
-    color_matrix: np.ndarray = None
+    color_matrix: np.ndarray = field(default_factory=lambda: np.eye(3))
     noise_sigma: float = 0.0
     vignette_strength: float = 0.0
-
-    def __post_init__(self):
-        if self.color_matrix is None:
-            self.color_matrix = np.eye(3, dtype=np.float64)
-        self.color_matrix = np.asarray(self.color_matrix, dtype=np.float64)
-        if self.color_matrix.shape != (3, 3):
-            raise ConfigError(f"color matrix must be 3x3, got {self.color_matrix.shape}")
 
 
 def shift_preset(name: str) -> DomainShift:
@@ -68,18 +61,18 @@ def shift_preset(name: str) -> DomainShift:
         return DomainShift()
     if name == "mild":
         return DomainShift(gamma_curve=0.85,
-                           color_matrix=[[0.95, 0.05, 0.0],
-                                         [0.0, 0.95, 0.05],
-                                         [0.05, 0.0, 0.95]],
+                           color_matrix=np.array([[0.95, 0.05, 0.0],
+                                                   [0.0, 0.95, 0.05],
+                                                   [0.05, 0.0, 0.95]]),
                            noise_sigma=0.002, vignette_strength=0.03)
     if name == "default":
         # the vignette is the main cross-view/cross-frame photometric gap:
         # displacement through a static spatial falloff that a
         # translation-equivariant generator cannot reproduce
         return DomainShift(gamma_curve=0.65,
-                           color_matrix=[[0.80, 0.20, 0.05],
-                                         [0.05, 0.75, 0.20],
-                                         [0.20, 0.05, 0.80]],
+                           color_matrix=np.array([[0.80, 0.20, 0.05],
+                                                   [0.05, 0.75, 0.20],
+                                                   [0.20, 0.05, 0.80]]),
                            noise_sigma=0.003, vignette_strength=0.12)
     raise ConfigError(f"unknown shift preset {name!r}")
 

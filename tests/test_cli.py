@@ -45,6 +45,23 @@ class TestGenerate:
         syn, real = split_domains(read_dataset(out))
         assert len(syn) == 2 and len(real) == 2
 
+    @pytest.mark.parametrize("preset", ["none", "mild", "default"])
+    def test_samples_are_scenes_then_shifted_scenes(self, tmp_path, preset):
+        from warpadapt.scenegen import apply_domain_shift, read_dataset, shift_preset
+        out, seed, count = str(tmp_path / "d"), 7, 3
+        assert run(["generate", "--count", str(count), "--seed", str(seed), "--out", out,
+                    "--width", "32", "--height", "16", "--max-disp", "8", "--max-flow", "4",
+                    "--shift-preset", preset]) == 0
+
+        def scene(s):
+            return generate_scene(s, width=32, height=16, max_disp=8, max_flow=4)
+
+        want = [scene(seed + i) for i in range(count)]
+        want += [apply_domain_shift(scene(seed + count + i), shift_preset(preset), seed=seed + i)
+                 for i in range(count)]
+        assert [sample_to_bytes(s) for s in read_dataset(out)] == [sample_to_bytes(s)
+                                                                    for s in want]
+
     @pytest.mark.parametrize("flags", [["--max-disp", "0"], ["--max-flow", "-3"],
                                        ["--count", "-1"], ["--seed", "-1"],
                                        ["--count", "0", "--max-disp", "0"],
@@ -553,6 +570,54 @@ class TestChangedDuringRun:
         assert "sample_00000.wad" in err and "Traceback" not in err
 
 
+def with_extents(raw, at, extents):
+    """``raw`` with the four u32 extents of the tensor record at byte ``at`` replaced."""
+    return raw[:at + 1] + struct.pack("<4I", *extents) + raw[at + 17:]
+
+
+class TestOverflowingExtents:
+    """A tensor record whose extents multiply past the int64 range is read as
+    truncated: exit 3 and one line naming the file, for a dataset sample, a
+    translate input and a checkpoint record."""
+
+    @pytest.mark.parametrize("extents", [(65536,) * 4, (2 ** 31, 2 ** 31, 2, 1)],
+                             ids=["product_wraps_to_0", "product_wraps_negative"])
+    @pytest.mark.parametrize("command", ["train", "eval", "translate", "eval_checkpoint"])
+    def test_exits_3_naming_the_file(self, small_run, tmp_path, capsys, command, extents):
+        data, ckpt, name = str(tmp_path / "data"), small_run["checkpoint"], "sample_00000.wad"
+        shutil.copytree(small_run["data"], data)
+        if command == "eval_checkpoint":
+            data, ckpt, name = small_run["data"], str(tmp_path / "spoiled.wck"), "spoiled.wck"
+            with open(small_run["checkpoint"], "rb") as fh:
+                raw = fh.read()
+            # magic, version, config text, record count, then the first record's name
+            at = 16 + struct.unpack_from("<I", raw, 12)[0] + 4
+            at += 2 + struct.unpack_from("<H", raw, at)[0]
+            with open(ckpt, "wb") as fh:
+                fh.write(with_extents(raw, at, extents))
+        else:
+            path = os.path.join(data, name)
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            # magic, domain tag and field bitmap, then the left frame's record
+            with open(path, "wb") as fh:
+                fh.write(with_extents(raw, 10, extents))
+        out = tmp_path / "o"
+        argv = {"train": ["train", "--data", data, "--out", str(out), "--total_iters", "1",
+                          "--k", "1", "--batch_size", "1", "--channels_base", "4",
+                          "--max_disp", "8", "--max_flow", "4", "--val_count", "1",
+                          "--eval_every", "0"],
+                "translate": ["translate", "--checkpoint", ckpt,
+                              "--in", os.path.join(data, name), "--out", str(out)]
+                }.get(command, ["eval", "--checkpoint", ckpt, "--data", data])
+        capsys.readouterr()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}: truncated at byte ") and err.count("\n") == 1
+        if command == "train":
+            assert not out.exists()
+
+
 def cropped(scene, height, width):
     """``scene`` with every field cropped to ``height`` x ``width``."""
     return SceneSample(**{k: v[:, :, :height, :width] if isinstance(v, np.ndarray) else v
@@ -667,6 +732,41 @@ class TestTranslate:
             assert os.path.exists(os.path.join(out, stem + ".wad"))
             assert os.path.exists(os.path.join(out, stem + ".ppm"))
         assert "reconstruction psnr=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("direction, stems", [
+        ("a2b", [("input", (), "real"), ("output", ("gen_a2b",), "real")]),
+        ("b2a", [("input", (), "real"), ("output", ("gen_b2a",), "synthetic")]),
+        ("cycle", [("original", (), "real"), ("fake_synthetic", ("gen_b2a",), "synthetic"),
+                   ("reconstructed", ("gen_b2a", "gen_a2b"), "real")])])
+    def test_each_stem_is_its_generators_applied_to_the_input(self, small_run, tmp_path,
+                                                              capsys, direction, stems):
+        from warpadapt import metrics
+        from warpadapt.autograd import Tensor, no_grad
+        path = os.path.join(small_run["data"], "sample_00004.wad")  # the first real sample
+        with open(path, "rb") as fh:
+            sample = sample_from_bytes(fh.read())
+        assert sample.domain == "real"
+        nets = load_checkpoint(small_run["checkpoint"]).nets
+        out = str(tmp_path / "tr")
+        capsys.readouterr()
+        assert main(["translate", "--checkpoint", small_run["checkpoint"], "--in", path,
+                     "--out", out, "--direction", direction]) == 0
+        assert sorted(os.listdir(out)) == sorted(stem + ext for stem, _, _ in stems
+                                                 for ext in (".ppm", ".wad"))
+        for stem, gens, domain in stems:
+            image = Tensor(sample.left)
+            with no_grad():
+                for gen in gens:
+                    image = nets[gen].translate(image)
+            with open(os.path.join(out, stem + ".wad"), "rb") as fh:
+                assert fh.read() == sample_to_bytes(SceneSample(
+                    left=image.data, right=None, next_left=None, disparity=None, flow=None,
+                    occlusion=None, domain=domain))
+        printed = capsys.readouterr().out
+        if direction == "cycle":
+            assert f"reconstruction psnr={metrics.psnr(image.data, sample.left):.6g}\n" in printed
+        else:
+            assert "psnr" not in printed
 
     def test_domain_mismatch_warns_but_proceeds(self, small_run, tmp_path, capsys):
         from warpadapt.scenegen import sample_from_bytes
